@@ -322,8 +322,18 @@ def check_decomposition(form: QuadraticForm) -> CheckResult:
         return _fail("decomposition", f"codim {dec.codim}, expected {expect_codim}")
     if not dec.bracket_closed:
         return _fail("decomposition", "ideal is not bracket-closed")
-    if not dec.killing_nondegenerate_on_ideal:
-        return _fail("decomposition", "Killing form degenerate on the ideal")
+    # A Killing entry 4 m s is zero in the field exactly when the count m is,
+    # and m depends only on the blade's grade: one blade per grade decides.
+    expect_nondeg = all(
+        form.field.element(structure.killing_count(form, (1 << k) - 1))
+        for k in {m.bit_count() for m in dec.ideal_masks}
+    )
+    if dec.killing_nondegenerate_on_ideal != expect_nondeg:
+        return _fail(
+            "decomposition",
+            f"Killing nondegeneracy flag {dec.killing_nondegenerate_on_ideal}, "
+            f"anticommuting counts say {expect_nondeg}",
+        )
     if dec.codim == 1:
         m = structure.killing_count(form, form.full_mask)
         if m != 0:

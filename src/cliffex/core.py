@@ -18,6 +18,7 @@ field named by the form's :class:`~cliffex.field.FieldSpec`.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
     MismatchedForm,
     ParseError,
 )
-from .field import RATIONAL, FieldElement, FieldSpec
+from .field import RATIONAL, FieldElement, FieldSpec, Fp
 
 MAX_GENERATORS = 16
 
@@ -363,10 +364,11 @@ class Multivector:
             raise MismatchedForm("operands live over different quadratic forms")
 
     def _as_scalar(self, value) -> Optional[FieldElement]:
-        try:
+        # Numbers become field elements, so a value from another field raises
+        # MixedFieldSpec; text and other types are not scalar operands.
+        if isinstance(value, (int, Fraction, Fp)):
             return self.form.field.element(value)
-        except Exception:
-            return None
+        return None
 
     def __add__(self, other):
         if isinstance(other, Multivector):

@@ -320,9 +320,6 @@ class FieldSpec:
     def add(self, x, y) -> FieldElement:
         return self._claim(x) + self._claim(y)
 
-    def sub(self, x, y) -> FieldElement:
-        return self._claim(x) - self._claim(y)
-
     def mul(self, x, y) -> FieldElement:
         return self._claim(x) * self._claim(y)
 
@@ -342,9 +339,6 @@ class FieldSpec:
         if isinstance(x, Fp):
             return x.inverse()
         return Fraction(1) / x
-
-    def eq(self, x, y) -> bool:
-        return self._claim(x) == self._claim(y)
 
     def is_zero(self, x) -> bool:
         return not self._claim(x)

@@ -1,10 +1,9 @@
 """Exact linear algebra over a :class:`~cliffex.field.FieldSpec`.
 
 Dense routines (determinant, solve, inverse) work on lists of lists of
-field elements.  Determinants use fraction-free Bareiss elimination; over
-the rationals each row is first scaled to integers so the elimination runs
-on plain ints, which is much faster than Fraction arithmetic and exact by
-construction.
+field elements and share one fraction-free Bareiss core, ``_eliminate``.
+It runs on plain ints, rows scaled to integers over the rationals and
+residues over F_p, and yields the determinant and the solution together.
 
 Sparse routines work on rows stored as ``{column: value}`` dicts.  The
 linear systems built downstream (centralizer conditions, bilinear-form
@@ -18,7 +17,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, Fp
 
 Matrix = list  # list[list[FieldElement]] by convention
 
@@ -65,123 +64,94 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def _int_bareiss(rows: list) -> int:
-    """Determinant of an integer matrix by fraction-free elimination.
+def _eliminate(a: Matrix, rhs: Matrix, field: FieldSpec):
+    """Fraction-free elimination of the augmented system ``[a | rhs]``.
 
-    Every interior division is exact (a classical property of the Bareiss
-    recurrence), so the computation stays in plain ints throughout.
+    ``rhs`` holds one row of right-hand sides per row of ``a`` (empty rows
+    for a bare determinant).  Returns ``(det, x)`` with ``x`` the rows of
+    the solution of ``a x = rhs``, or ``(0, None)`` when ``a`` is singular.
+
+    Forward elimination is Bareiss's recurrence: every entry it produces is
+    a minor of the (scaled) input, so the division by the previous pivot is
+    exact.  Over Q each row is first scaled to integers; over F_p the
+    entries are plain residues and each pivot is inverted once.  Back
+    substitution then computes the integral Cramer numerators det * x, and
+    those become field elements only at the end.
     """
-    n = len(rows)
-    a = [row[:] for row in rows]
+    n = len(a)
+    if any(len(row) != n for row in a) or len(rhs) != n:
+        raise DimensionMismatch("elimination needs a square system")
+    if n == 0:
+        return field.one, []
+    p = field.p
+    scale = 1
+    if p is None:
+        rows = []
+        for row, extra in zip(a, rhs):
+            full = [*row, *extra]
+            mult = lcm(*(c.denominator for c in full))
+            rows.append([c.numerator * (mult // c.denominator) for c in full])
+            scale *= mult
+    else:
+        rows = [[field.element(c).residue for c in (*row, *extra)] for row, extra in zip(a, rhs)]
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
+    prev = 1  # previous pivot over Q, its inverse over F_p
+    inverses = []
+    for k in range(n):
+        for r in range(k, n):
+            if rows[r][k]:
+                break
+        else:
+            return field.zero, None
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        piv = pivot_row[k]
+        tail = pivot_row[k + 1:]
+        for row in rows[k + 1:]:
+            f = row[k]
+            if p is None:
+                row[k + 1:] = [(x * piv - f * y) // prev for x, y in zip(row[k + 1:], tail)]
             else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            rowi = a[i]
-            rowk = a[k]
-            for j in range(k + 1, n):
-                rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+                row[k + 1:] = [(x * piv - f * y) * prev % p for x, y in zip(row[k + 1:], tail)]
+        if p is None:
+            prev = piv
+        else:
+            prev = pow(piv, -1, p)
+            inverses.append(prev)
+    det = rows[-1][n - 1]
+    ys = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = [det * b for b in row[n:]]
+        for j in range(i + 1, n):
+            c = row[j]
+            if c:
+                acc = [s - c * y for s, y in zip(acc, ys[j])]
+        if p is None:
+            ys[i] = [s // row[i] for s in acc]
+        else:
+            ys[i] = [s * inverses[i] % p for s in acc]
+    if p is None:
+        return Fraction(sign * det, scale), [[Fraction(y, det) for y in yrow] for yrow in ys]
+    return Fp(sign * det, p), [[Fp(y * inverses[-1], p) for y in yrow] for yrow in ys]
 
 
 def determinant(rows: Matrix, field: FieldSpec) -> FieldElement:
     """Exact determinant of a square matrix over ``field``."""
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise DimensionMismatch("determinant needs a square matrix")
-    if n == 0:
-        return field.one
-    if field.is_rational:
-        # Scale each row to integers, run the integer elimination, undo.
-        scaled = []
-        denom = Fraction(1)
-        for row in rows:
-            mult = lcm(*(c.denominator for c in row)) if n > 1 else row[0].denominator
-            scaled.append([int(c * mult) for c in row])
-            denom *= mult
-        return Fraction(_int_bareiss(scaled)) / denom
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = field.one
-    for k in range(n - 1):
-        if not a[k][k]:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return field.zero
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - aik * a[k][j]) / prev
-            a[i][k] = field.zero
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return _eliminate(rows, [[] for _ in rows], field)[0]
 
 
 def solve_dense(a: Matrix, b: Sequence[FieldElement], field: FieldSpec) -> Optional[list]:
-    """Solve ``a x = b`` by Gaussian elimination; None when singular."""
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise DimensionMismatch("solve needs a square system")
-    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = field.inv(m[col][col])
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n] for row in m]
+    """Solve ``a x = b`` exactly; None when ``a`` is singular."""
+    x = _eliminate(a, [[v] for v in b], field)[1]
+    return None if x is None else [row[0] for row in x]
 
 
 def invert_matrix(a: Matrix, field: FieldSpec) -> Optional[Matrix]:
-    """Inverse by Gauss-Jordan; None when singular."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DimensionMismatch("inverse needs a square matrix")
-    m = [list(row) + ident_row for row, ident_row in zip(a, identity_matrix(n, field))]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = field.inv(m[col][col])
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    """Exact inverse of a square matrix; None when singular."""
+    return _eliminate(a, identity_matrix(len(a), field), field)[1]
 
 
 # -- sparse reduction ----------------------------------------------------

@@ -63,11 +63,14 @@ def translation_determinants(a: Multivector) -> tuple:
 
 
 def is_zero_divisor(a: Multivector) -> bool:
-    """True when a nonzero ``a`` kills some nonzero element on either side."""
+    """True when a nonzero ``a`` kills some nonzero element on either side.
+
+    In a finite-dimensional algebra left translation by ``a`` is invertible
+    exactly when right translation is, so the left determinant decides.
+    """
     if a.is_zero():
         raise ZeroElement("zero-divisor test needs a nonzero element")
-    dl, dr = translation_determinants(a)
-    return (not dl) or (not dr)
+    return not linalg.determinant(left_matrix(a), a.form.field)
 
 
 def is_invertible(a: Multivector) -> bool:

@@ -295,7 +295,9 @@ def decompose(form: QuadraticForm) -> Decomposition:
     codimension one; otherwise the center is zero and the ideal is
     everything.  The returned flags certify, by direct enumeration, that
     the ideal is closed under brackets from the whole Lie algebra and that
-    the Killing form has no kernel vector among its blades.
+    the Killing form has no kernel vector among its blades.  The second flag
+    reads each diagonal Killing entry 4 m s in the field, so over F_p it is
+    False when p divides the anticommuting count m of some ideal blade.
     """
     gbl = lie_blades(form)
     central = form.n % 4 == 1
@@ -313,7 +315,7 @@ def decompose(form: QuadraticForm) -> Decomposition:
         if not closed:
             break
 
-    nondeg = all(killing_count(form, m) > 0 for m in ideal)
+    nondeg = all(killing_entry(form, m, m) for m in ideal)
 
     return Decomposition(
         lie_dim=len(gbl),

@@ -4,6 +4,7 @@ Products are cross-checked against an oracle that multiplies generator
 words by literal bubble sorting, with none of the bitmask shortcuts the
 production path uses.
 """
+import operator
 import random
 from fractions import Fraction
 
@@ -27,8 +28,10 @@ from cliffex.errors import (
     DegenerateForm,
     IndexOutOfRange,
     MismatchedForm,
+    MixedFieldSpec,
     ParseError,
 )
+from cliffex.field import Fp
 from cliffex.reference import (
     blade_word_product,
     closed_pairing,
@@ -198,6 +201,30 @@ def test_scalar_promotion_in_dunders():
     assert e1 + 1 == form.one() + e1
     assert 1 - e1 == -(e1 - 1)
     assert (e1 * Fraction(1, 2)) * 2 == e1
+
+
+def test_scalar_operands_are_strict():
+    e1 = QuadraticForm([1, 1]).generator(1)
+    f1 = QuadraticForm([1, 1], F13).generator(1)
+    for x, foreign in ((e1, Fp(2, 5)), (f1, Fp(2, 5))):
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(MixedFieldSpec):
+                op(x, foreign)
+            with pytest.raises(MixedFieldSpec):
+                op(foreign, x)
+    assert f1 + Fp(2, 13) == f1 + 2
+    assert f1 * Fraction(1, 2) * 2 == f1
+    # Text is never a scalar operand, whether or not it parses as one.
+    for x in (e1, f1):
+        for text in ("3", "e2", "1/2"):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(x, text)
+                with pytest.raises(TypeError):
+                    op(text, x)
+            assert x != text
+        with pytest.raises(TypeError):
+            x + 1.5
 
 
 def test_vector_square_rule():

@@ -1,13 +1,15 @@
 """Exact dense and sparse linear algebra.
 
 The dense determinant is cross-checked against a cofactor expansion that
-shares no code with the production path; the sparse solver is checked by
-substituting its answers back into the original rows.
+shares no code with the production path, on seeded samples and on
+hypothesis-drawn singular and row-swapping matrices; the sparse solver is
+checked by substituting its answers back into the original rows.
 """
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffex import RATIONAL, FieldSpec, linalg
 from cliffex.errors import DimensionMismatch
@@ -94,6 +96,72 @@ def test_invert_matrix_round_trip():
             assert linalg.mat_mul(a, inv, field) == linalg.identity_matrix(4, field)
             assert linalg.mat_mul(inv, a, field) == linalg.identity_matrix(4, field)
             done += 1
+
+
+# -- property tests of the dense core -------------------------------------
+
+
+def _scalars(field):
+    if field.is_rational:
+        return st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    return st.integers(0, field.p - 1).map(field.element)
+
+
+@st.composite
+def _square_matrices(draw, field):
+    """Square matrices of size 0-5, plain, singular or needing row swaps."""
+    n = draw(st.integers(0, 5))
+    scalars = _scalars(field)
+    a = [[draw(scalars) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(("plain", "singular", "swaps")))
+    if shape == "singular" and n:
+        # The last row becomes a combination of the others (zero when alone).
+        last = [field.zero] * n
+        for row in a[:-1]:
+            c = draw(scalars)
+            last = [x + c * y for x, y in zip(last, row)]
+        a[-1] = last
+    elif shape == "swaps" and n > 1:
+        # Zero leading entries force a row swap before the first pivot.
+        for row in a[: draw(st.integers(1, n - 1))]:
+            row[0] = field.zero
+    return a, shape
+
+
+PROPERTY_SETTINGS = settings(deadline=None, derandomize=True)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.to_text())
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_determinant_property_against_cofactor_oracle(field, data):
+    a, shape = data.draw(_square_matrices(field))
+    det = linalg.determinant(a, field)
+    assert det == cofactor_determinant(a, field)
+    if shape == "singular" and a:
+        assert det == field.zero
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.to_text())
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_solve_and_inverse_properties(field, data):
+    a, _ = data.draw(_square_matrices(field))
+    n = len(a)
+    x = [data.draw(_scalars(field)) for _ in range(n)]
+    b = linalg.mat_vec(a, x, field) if n else []
+    solved = linalg.solve_dense(a, b, field)
+    inv = linalg.invert_matrix(a, field)
+    if not cofactor_determinant(a, field):
+        assert solved is None and inv is None
+        return
+    assert solved == x
+    if n:
+        eye = linalg.identity_matrix(n, field)
+        assert linalg.mat_mul(a, inv, field) == eye
+        assert linalg.mat_mul(inv, a, field) == eye
+    else:
+        assert inv == []
 
 
 def test_shape_errors():

@@ -141,6 +141,30 @@ def test_zero_divisor_and_invertible_partition_nonzero_elements():
                 assert is_zero_divisor(x) != is_invertible(x)
 
 
+def test_left_and_right_determinants_vanish_together():
+    """det L_a = 0 exactly when det R_a = 0, which lets one decide."""
+    rng = random.Random(SEED + 8)
+    for field in (None, F7):
+        form = QuadraticForm([1, -1, 2], field)
+        one = form.one()
+        involutive = [m for m in range(1, form.dim) if form.blade_square(m) == form.field.one]
+        for _ in range(8):
+            unit = random_invertible(rng, form, terms=4)
+            dl, dr = translation_determinants(unit)
+            assert dl and dr
+            assert not is_zero_divisor(unit)
+            eb = form.basis_blade(rng.choice(involutive))
+            r = random_invertible(rng, form, terms=4)
+            # e_B^2 = 1, so 1 - e_B kills (1 + e_B) r on the left and
+            # r (1 + e_B) on the right: one translation of each is singular.
+            left_zd, right_zd = (one + eb) * r, r * (one + eb)
+            assert ((one - eb) * left_zd).is_zero() and (right_zd * (one - eb)).is_zero()
+            for z in (left_zd, right_zd):
+                dl, dr = translation_determinants(z)
+                assert not dl and not dr
+                assert is_zero_divisor(z)
+
+
 def test_inverse_is_two_sided():
     rng = random.Random(SEED + 5)
     for field in (None, F7):

@@ -242,6 +242,17 @@ def test_decomposition_shape():
         assert dec.killing_nondegenerate_on_ideal
 
 
+def test_nondegeneracy_flag_reads_the_entries_in_the_field():
+    # At rank 4 every ideal blade anticommutes with 6 Lie blades, so every
+    # Killing entry 4 * 6 * s vanishes mod 3, but not mod 5 or over Q.
+    for field, want in ((None, True), (FieldSpec.prime(5), True), (FieldSpec.prime(3), False)):
+        form = QuadraticForm.from_signature(4, 0, field)
+        dec = decompose(form)
+        assert {killing_count(form, m) for m in dec.ideal_masks} == {6}
+        assert dec.killing_nondegenerate_on_ideal is want
+        assert all(killing_entry(form, m, m) for m in dec.ideal_masks) is want
+
+
 def test_decomposition_splits_the_volume_out():
     form = QuadraticForm([1] * 5)
     dec = decompose(form)

@@ -165,8 +165,8 @@ def check_pairing(form: QuadraticForm, rng: Random) -> CheckResult:
             return _fail("pairing", "not additive")
         if (x * s).pair(y) != s * x.pair(y):
             return _fail("pairing", "not homogeneous")
-        if x.pair(y) != reference.closed_pairing(x, y):
-            return _fail("pairing", "disagrees with the diagonal closed form")
+        if x.pair(y) != reference.product_pairing(x, y):
+            return _fail("pairing", "disagrees with the scalar part of the product")
         if (x * y).pair(z) != y.pair(x.conjugate() * z):
             return _fail("pairing", "left adjunction law failed")
         if (y * x).pair(z) != y.pair(z * x.conjugate()):
@@ -178,16 +178,16 @@ def check_pairing(form: QuadraticForm, rng: Random) -> CheckResult:
 
 
 def check_gram(form: QuadraticForm) -> CheckResult:
-    """Gram diagonal equals the pairing on basis blades; off-diagonal zero."""
+    """Gram diagonal equals the product-route pairing on basis blades; off-diagonal zero."""
     gram = form.gram_diagonal()
     blades = [form.basis_blade(m) for m in range(form.dim)]
     for m in range(form.dim):
-        if blades[m].pair(blades[m]) != gram[m]:
+        if reference.product_pairing(blades[m], blades[m]) != gram[m]:
             return _fail("gram", f"diagonal mismatch at mask {m}")
     limit = min(form.dim, 16)
     for a in range(limit):
         for b in range(limit):
-            if a != b and blades[a].pair(blades[b]):
+            if a != b and reference.product_pairing(blades[a], blades[b]):
                 return _fail("gram", f"nonzero off-diagonal at masks {a}, {b}")
     return _ok("gram", "matches pairing on basis blades")
 
@@ -316,28 +316,30 @@ def check_killing_dichotomy(form: QuadraticForm) -> CheckResult:
 
 
 def check_decomposition(form: QuadraticForm) -> CheckResult:
+    """``decompose`` against an enumeration over the masks; permuting the generators
+    keeps grades and the ideal, so one blade per Lie grade stands for its grade."""
     dec = structure.decompose(form)
     expect_codim = 1 if form.n % 4 == 1 else 0
     if dec.codim != expect_codim:
         return _fail("decomposition", f"codim {dec.codim}, expected {expect_codim}")
-    if not dec.bracket_closed:
-        return _fail("decomposition", "ideal is not bracket-closed")
-    # A Killing entry 4 m s is zero in the field exactly when the count m is,
-    # and m depends only on the blade's grade: one blade per grade decides.
-    expect_nondeg = all(
-        form.field.element(structure.killing_count(form, (1 << k) - 1))
-        for k in {m.bit_count() for m in dec.ideal_masks}
-    )
-    if dec.killing_nondegenerate_on_ideal != expect_nondeg:
-        return _fail(
-            "decomposition",
-            f"Killing nondegeneracy flag {dec.killing_nondegenerate_on_ideal}, "
-            f"anticommuting counts say {expect_nondeg}",
-        )
-    if dec.codim == 1:
-        m = structure.killing_count(form, form.full_mask)
-        if m != 0:
+    lie = [m for m in range(form.dim) if m.bit_count() % 4 in (1, 2)]
+    if list(dec.ideal_masks) != [m for m in lie if not (expect_codim and m == form.full_mask)]:
+        return _fail("decomposition", "ideal is not the Lie blades less the center")
+    ideal = set(dec.ideal_masks)
+    closed = nondeg = True
+    for k in sorted({m.bit_count() for m in lie}):
+        a = (1 << k) - 1
+        partners = reference.anticommuting_lie_blades(form, a)
+        closed = closed and all(a ^ b in ideal for b in partners if b in ideal)
+        # The entry 4 m s is zero in the field exactly when the count m is.
+        if a in ideal:
+            nondeg = nondeg and bool(form.field.element(len(partners)))
+        elif partners:
             return _fail("decomposition", "central top blade has nonzero count")
+    if not (closed and dec.bracket_closed):
+        return _fail("decomposition", f"bracket closure: flag {dec.bracket_closed}, enumeration {closed}")
+    if dec.killing_nondegenerate_on_ideal != nondeg:
+        return _fail("decomposition", f"Killing nondegeneracy flag {not nondeg}, counts say {nondeg}")
     return _ok("decomposition", f"ideal dim {len(dec.ideal_masks)}, codim {dec.codim}")
 
 

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import classify, operators, structure
+from . import classify, linalg, operators, structure
 from .checks import run_checks
 from .core import QuadraticForm
 from .errors import CliffexError
@@ -183,9 +183,9 @@ def _cmd_info(args) -> int:
             obj["element"] = {"input": str(x), "zero": True}
             lines.append("element: 0 (the zero element)")
         else:
-            dl, dr = operators.translation_determinants(x)
             left = operators.left_matrix(x)
             right = operators.right_matrix(x)
+            dl, dr = linalg.determinant(left, f), linalg.determinant(right, f)
             zd = (not dl) or (not dr)
             elem = {
                 "input": str(x),

@@ -496,9 +496,14 @@ class Multivector:
     # -- pairing ---------------------------------------------------------
 
     def pair(self, other: "Multivector") -> FieldElement:
-        """Canonical bilinear pairing: scalar part of self * conjugate(other)."""
+        """Canonical bilinear pairing: scalar part of self * conjugate(other),
+        which is the sum of x_I y_I g_I over the Gram diagonal g."""
         self._check_mate(other)
-        return (self * other.conjugate()).scalar_part()
+        total = self.form.field.zero
+        for c, d, g in zip(self.coeffs, other.coeffs, self.form.gram_diagonal()):
+            if c and d:
+                total = total + c * d * g
+        return total
 
     # -- text ------------------------------------------------------------
 

@@ -6,8 +6,10 @@ package by an independent route:
 * ``blade_word_product`` multiplies blades by literally bubble-sorting the
   concatenated index word, never touching the popcount parity formula.
 * ``cofactor_determinant`` expands along the first row.
-* ``closed_pairing`` evaluates the canonical pairing from the diagonal
-  closed form instead of an algebra product.
+* ``product_pairing`` evaluates the canonical pairing by its definition,
+  an algebra product, instead of the Gram diagonal sum.
+* ``anticommuting_lie_blades`` enumerates the masks that the Killing count
+  counts, instead of summing the grade formula.
 
 The samplers all take an explicit ``random.Random`` so every test run is
 reproducible from its seed.
@@ -18,7 +20,7 @@ from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence
 
-from .core import Multivector, QuadraticForm
+from .core import Multivector, QuadraticForm, anticommute_parity
 from .errors import InternalInconsistency
 from .field import FieldElement, FieldSpec, Fp
 
@@ -86,15 +88,14 @@ def cofactor_determinant(rows, field: FieldSpec) -> FieldElement:
     return total
 
 
-def closed_pairing(x: Multivector, y: Multivector) -> FieldElement:
-    """Canonical pairing via the diagonal closed form (oracle route)."""
-    gram = x.form.gram_diagonal()
-    total = x.form.field.zero
-    for m, c in x.terms():
-        d = y.coeffs[m]
-        if d:
-            total = total + c * d * gram[m]
-    return total
+def product_pairing(x: Multivector, y: Multivector) -> FieldElement:
+    """Canonical pairing by its definition, the scalar part of x * conjugate(y)."""
+    return (x * y.conjugate()).scalar_part()
+
+
+def anticommuting_lie_blades(form: QuadraticForm, mask: int) -> list:
+    """Every Lie blade (grade 1 or 2 mod 4) anticommuting with ``mask``."""
+    return [b for b in range(form.dim) if b.bit_count() % 4 in (1, 2) and anticommute_parity(mask, b)]
 
 
 def trace_of_product(a, b, field: FieldSpec) -> FieldElement:

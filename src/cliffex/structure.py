@@ -18,10 +18,11 @@ module works in its blade basis:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
-from . import linalg
+from . import linalg, reference
 from .core import (
     Multivector,
     QuadraticForm,
@@ -155,10 +156,23 @@ class KillingRecord:
     value: FieldElement
 
 
+@lru_cache(maxsize=None)
+def _anticommuting_count(n: int, k: int) -> int:
+    """Lie blades of rank n anticommuting with a grade-k blade: those of grade
+    j sharing i indices with it, C(k, i) C(n - k, j - i) of them, when k j - i is odd."""
+    return sum(
+        comb(k, i) * comb(n - k, j - i)
+        for j in range(n + 1)
+        if j % 4 in (1, 2)
+        for i in range(min(k, j) + 1)
+        if (k * j - i) & 1
+    )
+
+
 def killing_count(form: QuadraticForm, mask: int) -> int:
-    """Number of Lie-algebra basis blades anticommuting with ``mask``."""
+    """Number of Lie-algebra basis blades anticommuting with ``mask``, by its grade."""
     form.check_mask(mask)
-    return sum(1 for k in lie_blades(form) if anticommute_parity(mask, k))
+    return _anticommuting_count(form.n, mask.bit_count())
 
 
 def killing_entry(form: QuadraticForm, a: int, b: int) -> FieldElement:
@@ -184,36 +198,24 @@ def killing_form(form: QuadraticForm, method: str = "count", oracle_cap: int = O
     dense adjoint matrices, which is the definition and serves as the
     cross-check (capped, it scales as the cube of the Lie dimension).
     """
-    records = []
-    if method == "count":
-        for mask in lie_blades(form):
-            m = killing_count(form, mask)
-            sq = form.blade_square(mask)
-            value = form.field.element(4 * m) * sq
-            records.append(KillingRecord(mask, format_blade(mask, form.n), m, sq, value))
-    elif method == "trace":
+    if method not in ("count", "trace"):
+        raise ValueError(f"unknown method {method!r}")
+    basis = None
+    if method == "trace":
         if form.n > oracle_cap:
             raise CapExceeded(f"trace route capped at n = {oracle_cap}")
         basis = lie_algebra_basis(form)
-        for mask in lie_blades(form):
+    records = []
+    for mask in lie_blades(form):
+        m = killing_count(form, mask)
+        sq = form.blade_square(mask)
+        if basis is None:
+            value = form.field.element(4 * m) * sq
+        else:
             ad = ad_matrix(form.basis_blade(mask), basis)
-            value = _trace_square(ad, form.field)
-            m = killing_count(form, mask)
-            sq = form.blade_square(mask)
-            records.append(KillingRecord(mask, format_blade(mask, form.n), m, sq, value))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+            value = reference.trace_of_product(ad, ad, form.field)
+        records.append(KillingRecord(mask, format_blade(mask, form.n), m, sq, value))
     return records
-
-
-def _trace_square(rows: list, f) -> FieldElement:
-    total = f.zero
-    n = len(rows)
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] and rows[j][i]:
-                total = total + rows[i][j] * rows[j][i]
-    return total
 
 
 def ad_matrix(xi: Multivector, basis: Optional[Sequence[Multivector]] = None) -> list:
@@ -282,7 +284,6 @@ class Decomposition:
     lie_dim: int
     center_basis: tuple
     ideal_masks: tuple
-    ideal_basis: tuple
     codim: int
     bracket_closed: bool
     killing_nondegenerate_on_ideal: bool
@@ -293,38 +294,25 @@ def decompose(form: QuadraticForm) -> Decomposition:
 
     When n = 1 mod 4 the top blade is central and the ideal has
     codimension one; otherwise the center is zero and the ideal is
-    everything.  The returned flags certify, by direct enumeration, that
-    the ideal is closed under brackets from the whole Lie algebra and that
-    the Killing form has no kernel vector among its blades.  The second flag
-    reads each diagonal Killing entry 4 m s in the field, so over F_p it is
-    False when p divides the anticommuting count m of some ideal blade.
+    everything.  Both flags are decided per grade (``checks`` enumerates).
+    A bracket of Lie blades is 0 or a multiple of their product, a Lie
+    blade, so it leaves the ideal only at the top blade, from a grade-k
+    blade and its complement, which anticommute iff k (n - k) is odd.  A
+    Killing entry 4 m s has s != 0, so it vanishes iff the grade's count m
+    does in the field: over F_p the second flag is False when p divides m.
     """
-    gbl = lie_blades(form)
-    central = form.n % 4 == 1
-    top = form.full_mask
-    ideal = tuple(m for m in gbl if not (central and m == top))
-    center_basis = (form.volume_element(),) if central else ()
-    ideal_set = set(ideal)
-
-    closed = True
-    for a in gbl:
-        for b in ideal:
-            if anticommute_parity(a, b) and (a ^ b) not in ideal_set:
-                closed = False
-                break
-        if not closed:
-            break
-
-    nondeg = all(killing_entry(form, m, m) for m in ideal)
-
+    n = form.n
+    central = n % 4 == 1
+    ideal = tuple(m for m in lie_blades(form) if not (central and m == form.full_mask))
+    grades = [k for k in range(1, n + 1) if k % 4 in (1, 2) and not (central and k == n)]
+    f = form.field
     return Decomposition(
-        lie_dim=len(gbl),
-        center_basis=center_basis,
+        lie_dim=lie_dimension(n),
+        center_basis=(form.volume_element(),) if central else (),
         ideal_masks=ideal,
-        ideal_basis=tuple(form.basis_blade(m) for m in ideal),
-        codim=len(gbl) - len(ideal),
-        bracket_closed=closed,
-        killing_nondegenerate_on_ideal=nondeg,
+        codim=1 if central else 0,
+        bracket_closed=not (central and any(k * (n - k) & 1 for k in grades)),
+        killing_nondegenerate_on_ideal=all(f.element(_anticommuting_count(n, k)) for k in grades),
     )
 
 

@@ -1,8 +1,10 @@
 """The self-check battery: every check passes on every supported form."""
+import dataclasses
+
 import pytest
 
-from cliffex import QuadraticForm, run_checks
-from cliffex.checks import volume_commutation_report
+from cliffex import QuadraticForm, run_checks, structure
+from cliffex.checks import check_decomposition, volume_commutation_report
 from cliffex.errors import OddDimension
 from cliffex.field import RATIONAL, FieldSpec
 
@@ -100,3 +102,18 @@ def test_volume_commutation_report():
     assert volume_commutation_report(QuadraticForm([2, -3], RATIONAL)) == 4
     with pytest.raises(OddDimension):
         volume_commutation_report(QuadraticForm([1, 1, 1], RATIONAL))
+
+
+def test_decomposition_check_rejects_altered_results(monkeypatch):
+    for form in (QuadraticForm([1] * 5), QuadraticForm([1] * 4, FieldSpec.prime(3))):
+        dec = structure.decompose(form)
+        assert check_decomposition(form).passed
+        for change in (
+            {"bracket_closed": not dec.bracket_closed},
+            {"killing_nondegenerate_on_ideal": not dec.killing_nondegenerate_on_ideal},
+            {"ideal_masks": dec.ideal_masks[1:]},
+        ):
+            bad = dataclasses.replace(dec, **change)
+            monkeypatch.setattr(structure, "decompose", lambda f, bad=bad: bad)
+            assert not check_decomposition(form).passed, change
+            monkeypatch.undo()

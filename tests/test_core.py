@@ -34,8 +34,8 @@ from cliffex.errors import (
 from cliffex.field import Fp
 from cliffex.reference import (
     blade_word_product,
-    closed_pairing,
     mask_to_word,
+    product_pairing,
     random_multivector,
     random_vector,
 )
@@ -361,8 +361,7 @@ def test_pairing_matches_scalar_projection_oracle():
             for _ in range(60):
                 x = random_multivector(rng, form, terms=6)
                 y = random_multivector(rng, form, terms=6)
-                assert pairing(x, y) == closed_pairing(x, y)
-                assert pairing(x, y) == (x * y.conjugate()).scalar_part()
+                assert pairing(x, y) == product_pairing(x, y)
 
 
 def test_pairing_adjointness_laws():

@@ -32,7 +32,12 @@ from cliffex.errors import (
     UnorderedField,
     ZeroElement,
 )
-from cliffex.reference import plane_rotor, random_isometry, random_multivector
+from cliffex.reference import (
+    anticommuting_lie_blades,
+    plane_rotor,
+    random_isometry,
+    random_multivector,
+)
 
 SEED = 31415
 F7 = FieldSpec.prime(7)
@@ -188,6 +193,32 @@ def test_killing_diagonal_closed_form():
                 sq = form.blade_square(rec.mask)
                 assert rec.square == sq
                 assert rec.value == form.field.element(4 * m) * sq
+
+
+def test_killing_count_matches_the_enumeration_at_every_mask():
+    for n in range(1, 11):
+        form = QuadraticForm([1] * n)
+        for mask in range(form.dim):
+            assert killing_count(form, mask) == len(anticommuting_lie_blades(form, mask))
+
+
+def test_killing_form_and_decomposition_reach_rank_sixteen():
+    form = QuadraticForm.from_signature(16, 0)
+    records = killing_form(form)
+    assert len(records) == lie_dimension(16) == 32640
+    # One enumeration per grade: the count depends on the grade alone.
+    counts = {
+        k: len(anticommuting_lie_blades(form, (1 << k) - 1)) for k in (1, 2, 5, 6, 9, 10, 13, 14)
+    }
+    for rec in records:
+        m = counts[rec.mask.bit_count()]
+        assert rec.anticommuting == m
+        assert rec.square == form.blade_square(rec.mask) == -1
+        assert rec.value == 4 * m * rec.square
+    dec = decompose(form)
+    assert (dec.lie_dim, dec.codim, dec.center_basis) == (32640, 0, ())
+    assert dec.ideal_masks == lie_blades(form)
+    assert dec.bracket_closed and dec.killing_nondegenerate_on_ideal
 
 
 def test_killing_trace_oracle_agrees_with_count():

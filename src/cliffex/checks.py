@@ -278,8 +278,8 @@ def check_lie_closure(form: QuadraticForm, rng: Random) -> CheckResult:
 
 def check_killing(form: QuadraticForm) -> CheckResult:
     """Counting route vs trace-of-ad route for the Killing form."""
-    if form.n > 5:
-        return _skip("killing", "trace oracle restricted to small ranks")
+    if form.n > structure.ORACLE_CAP:
+        return _skip("killing", f"trace oracle capped at n = {structure.ORACLE_CAP}")
     counted = structure.killing_form(form, method="count")
     traced = structure.killing_form(form, method="trace")
     for rec_c, rec_t in zip(counted, traced):

@@ -10,6 +10,7 @@ invocations produce byte-identical output.  Exit codes: 0 for success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -295,21 +296,24 @@ def _cmd_decompose(args) -> int:
     dec = structure.decompose(form)
     center_desc = structure.center(form, method="closed_form")
     lie_center_desc = structure.lie_center(form, method="closed_form")
-    records = structure.killing_form(form, method="count")
-    obj = {
-        "n": form.n,
-        "diag": [_fmt(f, q) for q in form.diag],
-        "lie_dim": dec.lie_dim,
-        "center": _center_obj(center_desc),
-        "lie_center": _center_obj(lie_center_desc),
-        "killing": _killing_records_obj(records, f),
-        "decomposition": {
-            "ideal_dim": len(dec.ideal_masks),
-            "center_dim": len(dec.center_basis),
-        },
-        "bracket_closed": dec.bracket_closed,
-        "killing_nondegenerate_on_ideal": dec.killing_nondegenerate_on_ideal,
-    }
+    obj = None
+    if args.fmt == "json":
+        # The text report prints no Killing entries, so only json builds them.
+        records = structure.killing_form(form, method="count")
+        obj = {
+            "n": form.n,
+            "diag": [_fmt(f, q) for q in form.diag],
+            "lie_dim": dec.lie_dim,
+            "center": _center_obj(center_desc),
+            "lie_center": _center_obj(lie_center_desc),
+            "killing": _killing_records_obj(records, f),
+            "decomposition": {
+                "ideal_dim": len(dec.ideal_masks),
+                "center_dim": len(dec.center_basis),
+            },
+            "bracket_closed": dec.bracket_closed,
+            "killing_nondegenerate_on_ideal": dec.killing_nondegenerate_on_ideal,
+        }
     lines = [
         f"n: {form.n}",
         f"lie dimension: {dec.lie_dim}",
@@ -479,9 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except CliffexError as exc:

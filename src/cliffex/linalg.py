@@ -165,28 +165,30 @@ def _sparse_rref(rows: list, field: FieldSpec, rhs: Optional[list] = None):
     ``(pivot_rows, pivot_rhs, inconsistent)`` where ``pivot_rows`` maps a
     pivot column to its fully reduced row (pivot entry 1) and
     ``inconsistent`` flags a 0 = nonzero row.
+
+    Rows are taken in order.  Each is reduced against the stored pivot
+    rows, normalised at its lowest column, and that column is then cleared
+    from the stored rows that hold it.  Those rows are found through an
+    index from each non-pivot column to the pivot columns whose rows hold
+    it, so a new pivot costs the rows it touches, not a sweep of them all.
     """
     pivot_rows: dict = {}
     pivot_rhs: dict = {}
+    holders: dict = {}  # non-pivot column -> pivot columns whose rows hold it
     inconsistent = False
     use_rhs = rhs is not None
+    zero = field.zero
     for idx, raw in enumerate(rows):
         row = {c: v for c, v in raw.items() if v}
         r = field.element(rhs[idx]) if use_rhs else None
-        # Eliminate every known pivot column from the row, not only the
-        # leading one; a row whose minimum is fresh can still carry larger
-        # columns that are already pivots, and storing it like that would
-        # break the reduced form the solution readers depend on.
-        while True:
-            hits = row.keys() & pivot_rows.keys()
-            if not hits:
-                break
-            c0 = min(hits)
+        # Stored rows are fully reduced, so subtracting one brings in no
+        # other pivot column: every pivot column of the row goes in one pass.
+        for c0 in sorted(row.keys() & pivot_rows.keys()):
             f = row.pop(c0)
             for c, v in pivot_rows[c0].items():
                 if c == c0:
                     continue
-                nv = row.get(c, field.zero) - f * v
+                nv = row.get(c, zero) - f * v
                 if nv:
                     row[c] = nv
                 else:
@@ -202,20 +204,26 @@ def _sparse_rref(rows: list, field: FieldSpec, rhs: Optional[list] = None):
         row = {c: v * inv for c, v in row.items()}
         if use_rhs:
             r = r * inv
-        # Knock the new pivot column out of every stored row.
-        for pc, prow in pivot_rows.items():
-            if lead in prow:
-                f = prow.pop(lead)
-                for c, v in row.items():
-                    if c == lead:
-                        continue
-                    nv = prow.get(c, field.zero) - f * v
-                    if nv:
-                        prow[c] = nv
-                    else:
-                        prow.pop(c, None)
-                if use_rhs:
-                    pivot_rhs[pc] = pivot_rhs[pc] - f * r
+        # Knock the new pivot column out of the stored rows that hold it.
+        for pc in holders.pop(lead, ()):
+            prow = pivot_rows[pc]
+            f = prow.pop(lead)
+            for c, v in row.items():
+                if c == lead:
+                    continue
+                nv = prow.get(c, zero) - f * v
+                if nv:
+                    if c not in prow:
+                        holders.setdefault(c, set()).add(pc)
+                    prow[c] = nv
+                elif c in prow:
+                    del prow[c]
+                    holders[c].discard(pc)
+            if use_rhs:
+                pivot_rhs[pc] = pivot_rhs[pc] - f * r
+        for c in row:
+            if c != lead:
+                holders.setdefault(c, set()).add(lead)
         pivot_rows[lead] = row
         if use_rhs:
             pivot_rhs[lead] = r

@@ -88,17 +88,16 @@ def _centralizer_kernel(form: QuadraticForm, masks: Sequence[int]) -> list:
     algebra intersected with the span.
     """
     f = form.field
-    col_of = {m: i for i, m in enumerate(masks)}
-    rows: dict = {}
+    rows = []
     for k in range(form.n):
         gen_mask = 1 << k
-        for m in masks:
+        # e_m g - g e_m is 2 e_m g when they anticommute, else 0; distinct m
+        # give distinct m xor g, so each equation has the one entry.
+        for col, m in enumerate(masks):
             if anticommute_parity(m, gen_mask):
-                coef, out_mask = form.blade_product(m, gen_mask)
-                row = rows.setdefault((k, out_mask), {})
-                col = col_of[m]
-                row[col] = row.get(col, f.zero) + (coef + coef)
-    kernel = linalg.kernel_basis(list(rows.values()), len(masks), f)
+                coef = form.blade_product(m, gen_mask).coef
+                rows.append({col: coef + coef})
+    kernel = linalg.kernel_basis(rows, len(masks), f)
     out = []
     for vec in kernel:
         out.append(form.multivector({m: vec[i] for i, m in enumerate(masks) if vec[i]}))
@@ -200,19 +199,16 @@ def killing_form(form: QuadraticForm, method: str = "count", oracle_cap: int = O
     """
     if method not in ("count", "trace"):
         raise ValueError(f"unknown method {method!r}")
-    basis = None
-    if method == "trace":
-        if form.n > oracle_cap:
-            raise CapExceeded(f"trace route capped at n = {oracle_cap}")
-        basis = lie_algebra_basis(form)
+    if method == "trace" and form.n > oracle_cap:
+        raise CapExceeded(f"trace route capped at n = {oracle_cap}")
     records = []
     for mask in lie_blades(form):
         m = killing_count(form, mask)
         sq = form.blade_square(mask)
-        if basis is None:
+        if method == "count":
             value = form.field.element(4 * m) * sq
         else:
-            ad = ad_matrix(form.basis_blade(mask), basis)
+            ad = ad_matrix(form.basis_blade(mask))
             value = reference.trace_of_product(ad, ad, form.field)
         records.append(KillingRecord(mask, format_blade(mask, form.n), m, sq, value))
     return records
@@ -224,37 +220,53 @@ def ad_matrix(xi: Multivector, basis: Optional[Sequence[Multivector]] = None) ->
     Defaults to the Lie algebra's blade basis.  Raises
     :class:`NotInLieAlgebra` when ``xi`` is outside the Lie algebra and
     :class:`NotInvariantSubspace` when some bracket leaves the span.
+
+    On a basis of unit blades each column is built from blade products,
+    [xi, e_b] = sum over the terms x_a e_a of x_a (e_a e_b - e_b e_a), with
+    both products taken literally so that this route, the definition of
+    the Killing form, shares nothing with the anticommutation counts.  The
+    map a -> a xor b is injective, so each term lands on its own output
+    blade; the outputs are read in ascending mask order, and the first one
+    outside the span is the blade that ``NotInvariantSubspace`` names.
+    Any other spanning set goes through an exact sparse solve per column.
     """
     form = xi.form
     if not in_lie_algebra(xi):
         raise NotInLieAlgebra("ad is defined for Lie-algebra elements")
-    if basis is None:
-        basis = lie_algebra_basis(form)
-    basis = list(basis)
-    size = len(basis)
     f = form.field
-
-    unit_masks = []
-    for b in basis:
-        support = b.support()
-        if len(support) == 1 and b.coeffs[support[0]] == f.one:
-            unit_masks.append(support[0])
-        else:
-            unit_masks = None
-            break
-
+    if basis is None:
+        unit_masks = lie_blades(form)
+    else:
+        basis = list(basis)
+        unit_masks = []
+        for b in basis:
+            support = b.support()
+            if len(support) == 1 and b.coeffs[support[0]] == f.one:
+                unit_masks.append(support[0])
+            else:
+                unit_masks = None
+                break
+    size = len(unit_masks) if unit_masks is not None else len(basis)
     rows = [[f.zero] * size for _ in range(size)]
+
     if unit_masks is not None:
         pos = {m: i for i, m in enumerate(unit_masks)}
-        for c, b in enumerate(basis):
-            out = xi.commutator(b)
-            for mask, val in out.terms():
+        terms = list(xi.terms())
+        product = form.blade_product
+        for c, b in enumerate(unit_masks):
+            out = {}
+            for a, x_a in terms:
+                ab = product(a, b)
+                diff = ab.coef - product(b, a).coef
+                if diff:
+                    out[ab.mask] = x_a * diff
+            for mask in sorted(out):
                 r = pos.get(mask)
                 if r is None:
                     raise NotInvariantSubspace(
                         f"bracket leaves the span at blade {format_blade(mask, form.n)}"
                     )
-                rows[r][c] = val
+                rows[r][c] = out[mask]
         return rows
 
     # General spanning sets: solve for coordinates exactly.

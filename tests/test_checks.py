@@ -4,7 +4,7 @@ import dataclasses
 import pytest
 
 from cliffex import QuadraticForm, run_checks, structure
-from cliffex.checks import check_decomposition, volume_commutation_report
+from cliffex.checks import check_decomposition, check_killing, volume_commutation_report
 from cliffex.errors import OddDimension
 from cliffex.field import RATIONAL, FieldSpec
 
@@ -117,3 +117,17 @@ def test_decomposition_check_rejects_altered_results(monkeypatch):
             monkeypatch.setattr(structure, "decompose", lambda f, bad=bad: bad)
             assert not check_decomposition(form).passed, change
             monkeypatch.undo()
+
+
+def test_killing_check_runs_the_trace_route_up_to_the_oracle_cap(monkeypatch):
+    for n in (6, 8):
+        result = check_killing(QuadraticForm([1] * n, RATIONAL))
+        assert result.passed and not result.skipped, result
+    above = check_killing(QuadraticForm([1] * 9, RATIONAL))
+    assert above.skipped and str(structure.ORACLE_CAP) in above.detail
+    # Doubling every adjoint matrix quadruples the traces: the routes disagree.
+    ad = structure.ad_matrix
+    monkeypatch.setattr(
+        structure, "ad_matrix", lambda *a: [[v + v for v in row] for row in ad(*a)]
+    )
+    assert not check_killing(QuadraticForm([1, 1, -1], RATIONAL)).passed

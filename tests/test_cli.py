@@ -241,3 +241,25 @@ def test_mapped_commands_exist():
     # The involution command fronts methods on the element type itself,
     # so it is the one subcommand with no module-level function behind it.
     assert command_names - set(OPERATION_COMMAND.values()) == {"involute"}
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, monkeypatch):
+    from cliffex import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    argv = ("killing", "--form", "diag:1,1,1", "--method", "trace")
+    assert run_cli(capsys, *argv, "--max-n", "2")[0] == 1
+    code, out, err = run_cli(capsys, *argv)  # the cap override does not carry over
+    assert (code, err) == (0, "") and out
+    assert built == [1]
+    cli._parser.cache_clear()
+
+
+def test_text_decompose_builds_no_killing_records(capsys, monkeypatch):
+    from cliffex import structure
+
+    expected = run_cli(capsys, "decompose", "--form", "sig:5,0")
+    monkeypatch.setattr(structure, "killing_form", lambda *a, **k: pytest.fail("records built"))
+    assert run_cli(capsys, "decompose", "--form", "sig:5,0") == expected

@@ -269,3 +269,96 @@ def test_in_span():
     assert linalg.in_span([v1, v2], [f.element(2), f.element(3), f.element(5)], f)
     assert not linalg.in_span([v1, v2], [f.element(0), f.element(0), f.element(1)], f)
     assert linalg.in_span([], [f.zero, f.zero], f)
+
+
+# -- property tests of the sparse reducer --------------------------------
+
+
+@st.composite
+def _sparse_systems(draw, field):
+    """Sparse rows over 0-8 columns, zeros stored explicitly at times.
+
+    Besides rows on random supports there are combinations of earlier rows
+    (dependent, some cancelling to nothing) and rows that share the lowest
+    column of an earlier row with a fresh tail, so that eliminating that
+    column fills in the earlier row's other columns.
+    """
+    ncols = draw(st.integers(0, 8))
+    scalars = _scalars(field)
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("random", "combination", "fill")))
+        if kind == "combination" and rows:
+            row = {}
+            for old in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                c = draw(scalars)
+                for col, v in old.items():
+                    row[col] = row.get(col, field.zero) + c * v
+        elif kind == "fill" and rows and rows[-1]:
+            lead = min(rows[-1])
+            row = {lead: draw(scalars)}
+            for col in draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
+                row[col] = draw(scalars)
+        elif ncols:
+            cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+            row = {col: draw(scalars) for col in cols}
+        else:
+            row = {}
+        rows.append(row)
+    return rows, ncols
+
+
+def _dense_rank(matrix, field):
+    """Rank by plain Gauss-Jordan elimination on a dense copy."""
+    m = [list(row) for row in matrix]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = field.inv(m[rank][c])
+        m[rank] = [v * inv for v in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _row_value(row, vec, field):
+    acc = field.zero
+    for c, v in row.items():
+        acc = acc + v * vec[c]
+    return acc
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.to_text())
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_sparse_routines_against_dense_elimination(field, data):
+    rows, ncols = data.draw(_sparse_systems(field))
+    dense = [[row.get(c, field.zero) for c in range(ncols)] for row in rows]
+    rank = _dense_rank(dense, field)
+    assert linalg.rank_sparse(rows, field) == rank
+
+    kernel = linalg.kernel_basis(rows, ncols, field)
+    assert len(kernel) == ncols - rank
+    assert _dense_rank(kernel, field) == len(kernel)
+    for vec in kernel:
+        assert all(not _row_value(row, vec, field) for row in rows)
+
+    if data.draw(st.booleans()):
+        witness = [data.draw(_scalars(field)) for _ in range(ncols)]
+        rhs = [_row_value(row, witness, field) for row in rows]
+    else:
+        rhs = [data.draw(_scalars(field)) for _ in rows]
+    sol, nullity, consistent = linalg.affine_solve(rows, rhs, ncols, field)
+    assert nullity == ncols - rank
+    augmented = [row + [b] for row, b in zip(dense, rhs)]
+    assert consistent == (_dense_rank(augmented, field) == rank)
+    if consistent:
+        assert [_row_value(row, sol, field) for row in rows] == rhs
+    else:
+        assert sol is None

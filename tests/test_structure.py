@@ -28,6 +28,7 @@ from cliffex import (
 from cliffex.errors import (
     NotDefiniteForm,
     NotInLieAlgebra,
+    NotInvariantSubspace,
     OddDimension,
     UnorderedField,
     ZeroElement,
@@ -176,6 +177,44 @@ def test_ad_matrix_encodes_the_bracket():
             assert acc == want
 
 
+def test_ad_matrix_matches_dense_commutators_column_by_column():
+    rng = random.Random(SEED + 9)
+    for field in (FieldSpec.rational(), FieldSpec.prime(7)):
+        for n in range(1, 7):
+            form = QuadraticForm([rng.choice((1, -1, 2, -3)) for _ in range(n)], field)
+            blades = lie_blades(form)
+            for _ in range(3):
+                # Several terms with nonzero coefficients, so xi is not a blade
+                # (except at n = 1, where the Lie algebra is one line).
+                picks = rng.sample(blades, min(len(blades), rng.randint(2, 6)))
+                xi = form.multivector(
+                    {m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                     for m in picks}
+                )
+                m = ad_matrix(xi)
+                assert len(m) == len(blades)
+                for j, b in enumerate(blades):
+                    want = xi.commutator(form.basis_blade(b))
+                    assert set(want.support()) <= set(blades)
+                    assert [row[j] for row in m] == [want.coeff(a) for a in blades]
+
+
+def test_ad_matrix_names_the_lowest_blade_leaving_a_unit_sub_basis():
+    form = QuadraticForm([1, 1, 1])
+    # [e1 + e23, e3] = 2 e13 - 2 e2: the term order of xi meets e13 first,
+    # but e2 is the lower mask that leaves span{e3}.
+    xi = form.parse("e1 + e23")
+    with pytest.raises(NotInvariantSubspace, match=r"at blade e2$"):
+        ad_matrix(xi, [form.basis_blade(0b100)])
+    # A closed unit sub-basis still gives the matrix: span{e1, e2, e12}.
+    sub = [form.basis_blade(m) for m in (0b001, 0b010, 0b011)]
+    assert ad_matrix(form.parse("e12"), sub) == [
+        [0, -2, 0],
+        [2, 0, 0],
+        [0, 0, 0],
+    ]
+
+
 def test_ad_matrix_rejects_non_members():
     form = QuadraticForm([1, 1])
     with pytest.raises(NotInLieAlgebra):
@@ -222,12 +261,11 @@ def test_killing_form_and_decomposition_reach_rank_sixteen():
 
 
 def test_killing_trace_oracle_agrees_with_count():
-    for field in (None, F7):
-        for n in range(1, 6):
-            form = QuadraticForm([1] * n, field)
-            by_count = killing_form(form, method="count")
-            by_trace = killing_form(form, method="trace")
-            assert [r.value for r in by_count] == [r.value for r in by_trace]
+    for field, top in ((None, 8), (F7, 6)):
+        for n in range(1, top + 1):
+            for diag in ([1] * n, [1, -1, 2, -3, 1, -1, 5, 1][:n]):
+                form = QuadraticForm(diag, field)
+                assert killing_form(form, method="trace") == killing_form(form, method="count")
 
 
 def test_killing_off_diagonal_vanishes():

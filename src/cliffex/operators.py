@@ -13,7 +13,13 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from . import linalg
-from .core import Multivector, QuadraticForm, conjugate_sign, involute_sign
+from .core import (
+    Multivector,
+    QuadraticForm,
+    conjugate_sign,
+    involute_sign,
+    reorder_parity,
+)
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -27,30 +33,40 @@ from .errors import (
 from .field import FieldElement
 
 
-def left_matrix(a: Multivector) -> list:
-    """Matrix of y -> a * y in the blade basis (columns index the input)."""
+def _translation_matrix(a: Multivector, left: bool) -> list:
+    """Matrix of y -> a * y when ``left``, else of y -> y * a.
+
+    Column mj is the image of e_mj.  The term ci e_mi of ``a`` sends it to
+    ±ci sq(mi & mj) e_(mi ^ mj), the sign being the reorder parity of
+    (mi, mj) on the left and of (mj, mi) on the right.  For a fixed mj the
+    map mi -> mi ^ mj is injective, so each cell is written once.
+    """
     form = a.form
     dim = form.dim
-    zero = form.field.zero
-    rows = [[zero] * dim for _ in range(dim)]
+    sqf = form.square_factor
+    rows = [[form.field.zero] * dim for _ in range(dim)]
     for mi, ci in a.terms():
+        neg = -ci
         for mj in range(dim):
-            coef, mk = form.blade_product(mi, mj)
-            rows[mk][mj] = rows[mk][mj] + ci * coef
+            odd = reorder_parity(mi, mj) if left else reorder_parity(mj, mi)
+            rows[mi ^ mj][mj] = (neg if odd else ci) * sqf(mi & mj)
     return rows
+
+
+def left_matrix(a: Multivector) -> list:
+    """Matrix of y -> a * y in the blade basis (columns index the input).
+
+    Each cell is written once, as ±a_i sq(i & j) at row i xor j of column j.
+    """
+    return _translation_matrix(a, True)
 
 
 def right_matrix(a: Multivector) -> list:
-    """Matrix of y -> y * a in the blade basis."""
-    form = a.form
-    dim = form.dim
-    zero = form.field.zero
-    rows = [[zero] * dim for _ in range(dim)]
-    for mi, ci in a.terms():
-        for mj in range(dim):
-            coef, mk = form.blade_product(mj, mi)
-            rows[mk][mj] = rows[mk][mj] + ci * coef
-    return rows
+    """Matrix of y -> y * a in the blade basis (columns index the input).
+
+    Built like :func:`left_matrix`, with the sign read from e_j e_i.
+    """
+    return _translation_matrix(a, False)
 
 
 def translation_determinants(a: Multivector) -> tuple:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .core import Multivector, QuadraticForm
@@ -38,15 +39,38 @@ from .field import RATIONAL
 
 
 class Quaternion:
-    """A quaternion with exact rational components."""
+    """A quaternion with exact rational components.
 
-    __slots__ = ("a", "b", "c", "d")
+    Stored as four integer numerators over one positive common denominator,
+    with no factor common to all five.  That form is canonical, so equality
+    compares the stored integers, and the arithmetic (sums, products,
+    conjugate, inverse, quotients) runs on plain ints: the inverse of
+    (a, b, c, d) / D is (a D, -b D, -c D, -d D) / (a^2 + b^2 + c^2 + d^2).
+    ``Fraction`` values are built only when a component is read, through
+    ``.a`` to ``.d``, :meth:`components`, :meth:`scalar_part` and
+    :meth:`norm_squared`.
+
+    Four plain ints are stored as they are.  Otherwise every component goes
+    through :meth:`FieldSpec.element` of the rationals, so bools,
+    ``Fraction`` and rational text are accepted and anything else (a
+    float, a prime-field residue) raises :class:`MixedFieldSpec`.  The
+    value is immutable and hashable.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+        if type(a) is type(b) is type(c) is type(d) is int:
+            num, den = (a, b, c, d), 1
+        else:
+            comps = [RATIONAL.element(v) for v in (a, b, c, d)]
+            den = lcm(*(x.denominator for x in comps))
+            num = tuple(x.numerator * (den // x.denominator) for x in comps)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Quaternion is immutable")
 
     @staticmethod
     def zero() -> "Quaternion":
@@ -68,8 +92,14 @@ class Quaternion:
     def k() -> "Quaternion":
         return Quaternion(0, 0, 0, 1)
 
+    a = property(lambda self: Fraction(self._num[0], self._den))
+    b = property(lambda self: Fraction(self._num[1], self._den))
+    c = property(lambda self: Fraction(self._num[2], self._den))
+    d = property(lambda self: Fraction(self._num[3], self._den))
+
     def components(self) -> tuple:
-        return (self.a, self.b, self.c, self.d)
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
 
     def _coerce(self, other):
         if isinstance(other, Quaternion):
@@ -79,18 +109,28 @@ class Quaternion:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, Quaternion) else self._coerce(other)
         if o is None:
             return NotImplemented
-        return Quaternion(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        (a1, b1, c1, d1), e1 = self._num, self._den
+        (a2, b2, c2, d2), e2 = o._num, o._den
+        if e1 == e2:
+            return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1)
+        return _reduced(a1 * e2 + a2 * e1, b1 * e2 + b2 * e1,
+                        c1 * e2 + c2 * e1, d1 * e2 + d2 * e1, e1 * e2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, Quaternion) else self._coerce(other)
         if o is None:
             return NotImplemented
-        return Quaternion(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+        (a1, b1, c1, d1), e1 = self._num, self._den
+        (a2, b2, c2, d2), e2 = o._num, o._den
+        if e1 == e2:
+            return _reduced(a1 - a2, b1 - b2, c1 - c2, d1 - d2, e1)
+        return _reduced(a1 * e2 - a2 * e1, b1 * e2 - b2 * e1,
+                        c1 * e2 - c2 * e1, d1 * e2 - d2 * e1, e1 * e2)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -99,19 +139,21 @@ class Quaternion:
         return o - self
 
     def __neg__(self):
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self._num
+        return _reduced(-a, -b, -c, -d, self._den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, Quaternion) else self._coerce(other)
         if o is None:
             return NotImplemented
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        return Quaternion(
+        a1, b1, c1, d1 = self._num
+        a2, b2, c2, d2 = o._num
+        return _reduced(
             a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
             a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
             a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+            self._den * o._den,
         )
 
     def __rmul__(self, other):
@@ -121,18 +163,19 @@ class Quaternion:
         return o * self
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self._num
+        return _reduced(a, -b, -c, -d, self._den)
 
     def norm_squared(self) -> Fraction:
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
+        a, b, c, d = self._num
+        return Fraction(a * a + b * b + c * c + d * d, self._den * self._den)
 
     def inverse(self) -> "Quaternion":
-        n = self.norm_squared()
+        (a, b, c, d), e = self._num, self._den
+        n = a * a + b * b + c * c + d * d
         if not n:
             raise InversionOfZero("zero quaternion has no inverse")
-        inv = Fraction(1) / n
-        con = self.conjugate()
-        return Quaternion(con.a * inv, con.b * inv, con.c * inv, con.d * inv)
+        return _reduced(a * e, -b * e, -c * e, -d * e, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -144,13 +187,13 @@ class Quaternion:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.components() == o.components()
+        return self._num == o._num and self._den == o._den
 
     def __hash__(self):
         return hash(self.components())
 
     def __bool__(self):
-        return any(self.components())
+        return any(self._num)
 
     def scalar_part(self) -> Fraction:
         return self.a
@@ -160,6 +203,17 @@ class Quaternion:
 
     def __str__(self):
         return format_quaternion(self)
+
+
+def _reduced(a: int, b: int, c: int, d: int, den: int) -> Quaternion:
+    """The quaternion (a, b, c, d) / den, for ints and den > 0, in lowest terms."""
+    g = gcd(a, b, c, d, den)
+    if g != 1:
+        a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    q = object.__new__(Quaternion)
+    object.__setattr__(q, "_num", (a, b, c, d))
+    object.__setattr__(q, "_den", den)
+    return q
 
 
 _UNIT_ORDER = ("", "i", "j", "k")

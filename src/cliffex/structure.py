@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg, reference
 from .core import (
@@ -208,10 +208,22 @@ def killing_form(form: QuadraticForm, method: str = "count", oracle_cap: int = O
         if method == "count":
             value = form.field.element(4 * m) * sq
         else:
-            ad = ad_matrix(form.basis_blade(mask))
+            ad = ad_matrix(_LieBlade(form, mask))
             value = reference.trace_of_product(ad, ad, form.field)
         records.append(KillingRecord(mask, format_blade(mask, form.n), m, sq, value))
     return records
+
+
+class _LieBlade(NamedTuple):
+    """The unit blade e_mask of ``form`` as the trace route hands it to
+    :func:`ad_matrix`, which reads only ``form`` and ``terms()``: one term,
+    and no dense multivector."""
+
+    form: QuadraticForm
+    mask: int
+
+    def terms(self) -> tuple:
+        return ((self.mask, self.form.field.one),)
 
 
 def ad_matrix(xi: Multivector, basis: Optional[Sequence[Multivector]] = None) -> list:
@@ -229,9 +241,16 @@ def ad_matrix(xi: Multivector, basis: Optional[Sequence[Multivector]] = None) ->
     blade; the outputs are read in ascending mask order, and the first one
     outside the span is the blade that ``NotInvariantSubspace`` names.
     Any other spanning set goes through an exact sparse solve per column.
+
+    Only ``xi.form`` and ``xi.terms()`` are read on the unit-blade path, so
+    :func:`killing_form` passes each blade as a ``_LieBlade`` instead of a
+    dense multivector.
     """
     form = xi.form
-    if not in_lie_algebra(xi):
+    terms = list(xi.terms())
+    # c is diagonal in the blade basis with signs ±1 and 2 != 0 in the
+    # field, so c(xi) = -xi exactly when every term sits on a Lie blade.
+    if not all(is_lie_blade(m) for m, _ in terms):
         raise NotInLieAlgebra("ad is defined for Lie-algebra elements")
     f = form.field
     if basis is None:
@@ -251,7 +270,6 @@ def ad_matrix(xi: Multivector, basis: Optional[Sequence[Multivector]] = None) ->
 
     if unit_masks is not None:
         pos = {m: i for i, m in enumerate(unit_masks)}
-        terms = list(xi.terms())
         product = form.blade_product
         for c, b in enumerate(unit_masks):
             out = {}

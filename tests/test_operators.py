@@ -59,6 +59,18 @@ def test_translation_matrices_reproduce_products():
             assert _mat_times_coeffs(right, x) == list((x * a).coeffs)
 
 
+@pytest.mark.parametrize("field", [RATIONAL, F7], ids=lambda f: f.to_text())
+@pytest.mark.parametrize("n", range(1, 7))
+def test_translation_matrices_reproduce_dense_products(field, n):
+    rng = random.Random(SEED + 10 * n)
+    form = QuadraticForm([1, -1, 2, -3, 1, 5][:n], field)
+    for _ in range(3 if n == 6 else 6):
+        a = random_multivector(rng, form)
+        x = random_multivector(rng, form)
+        assert _mat_times_coeffs(left_matrix(a), x) == list((a * x).coeffs)
+        assert _mat_times_coeffs(right_matrix(a), x) == list((x * a).coeffs)
+
+
 def test_translation_matrix_of_one_is_identity():
     form = QuadraticForm([1, 1])
     one = form.one()

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffex import (
     HMatrix,
@@ -19,11 +20,13 @@ from cliffex import (
 from cliffex.errors import (
     DimensionMismatch,
     InversionOfZero,
+    MixedFieldSpec,
     ParseError,
     SingularBasis,
     WrongForm,
 )
-from cliffex.field import FieldSpec
+from cliffex.field import FieldSpec, Fp
+from cliffex.quaternions import _left_inverse
 
 SEED = 40902
 
@@ -127,6 +130,85 @@ def test_parse_rejects_malformed_input():
             parse_quaternion(bad)
 
 
+# -- against a Fraction oracle -------------------------------------------
+
+def hamilton(p, q):
+    """Oracle: the Hamilton product of two 4-tuples of Fraction."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def oracle_inverse(p):
+    n = sum(x * x for x in p)
+    return (p[0] / n, -p[1] / n, -p[2] / n, -p[3] / n)
+
+
+_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=24)
+_tuples = st.tuples(_rationals, _rationals, _rationals, _rationals)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(p=_tuples, q=_tuples)
+def test_arithmetic_against_a_fraction_oracle(p, q):
+    x, y = Quaternion(*p), Quaternion(*q)
+    assert x.components() == p and (x.a, x.b, x.c, x.d) == p
+    assert (x + y).components() == tuple(u + v for u, v in zip(p, q))
+    assert (x - y).components() == tuple(u - v for u, v in zip(p, q))
+    assert (-x).components() == tuple(-u for u in p)
+    assert (x * y).components() == hamilton(p, q)
+    assert x.conjugate().components() == (p[0], -p[1], -p[2], -p[3])
+    assert x.norm_squared() == sum(u * u for u in p)
+    assert x.scalar_part() == p[0]
+    if any(q):
+        assert y.inverse().components() == oracle_inverse(q)
+        assert (x / y).components() == hamilton(p, oracle_inverse(q))
+    assert (x == y) == (p == q)
+    assert x == Quaternion(*p) and hash(x) == hash(Quaternion(*p)) == hash(p)
+    assert bool(x) == any(p)
+    assert parse_quaternion(str(x)) == x
+    assert repr(x) == f"Quaternion({p[0]}, {p[1]}, {p[2]}, {p[3]})"
+
+
+def test_storage_is_canonical():
+    half = Quaternion(Fraction(2, 4))
+    assert half == Quaternion(Fraction(1, 2)) == Quaternion("1/2") == Quaternion(0) + Fraction(1, 2)
+    assert hash(half) == hash(Quaternion(Fraction(1, 2)))
+    assert Quaternion(3) == 3 and Quaternion(3) == Fraction(3)
+    # Four plain ints and the same values through the field's constructor.
+    ints, mixed = Quaternion(1, -2, 0, 4), Quaternion(Fraction(1), "-2", False, Fraction(8, 2))
+    assert ints == mixed and hash(ints) == hash(mixed)
+    # A sum whose denominators cancel compares equal to the integer value.
+    third = Quaternion(Fraction(1, 3), Fraction(2, 3))
+    assert third + third + third == Quaternion(1, 2)
+    assert {Quaternion(1, 2), third * 3} == {Quaternion(1, 2)}
+
+
+def test_components_are_strict():
+    assert Quaternion(True, False, 2, Fraction(3, 4)) == Quaternion(1, 0, 2, "3/4")
+    assert Quaternion(" -5/10 ").components() == (Fraction(-1, 2), 0, 0, 0)
+    for bad in (0.1, Fp(3, 7), None, object(), 1j, [1]):
+        with pytest.raises(MixedFieldSpec):
+            Quaternion(bad)
+        with pytest.raises(MixedFieldSpec):
+            Quaternion(0, 0, 0, bad)
+    with pytest.raises(ParseError):
+        Quaternion("0.5")
+
+
+def test_quaternions_are_immutable():
+    q = Quaternion(1, 2, 3, 4)
+    for name in ("a", "b", "c", "d", "x", "_num", "_den"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, 5)
+    assert q == Quaternion(1, 2, 3, 4)
+
+
 # -- quaternionic matrices -----------------------------------------------
 
 def test_identity_action_and_shape_checks():
@@ -227,6 +309,60 @@ def test_hermitian_pairing_properties():
             assert bool(self_pair) == any(bool(xv) for xv in x)
     with pytest.raises(DimensionMismatch):
         hermitian_pairing((Quaternion.one(),), (Quaternion.one(), Quaternion.one()))
+
+
+def conventional_product(x, u):
+    """(X U)[i][j] = sum_k X[i][k] U[k][j], factors in that order."""
+    m = len(u)
+    return [
+        [sum((x[i][k] * u[k][j] for k in range(m)), Quaternion()) for j in range(m)]
+        for i in range(m)
+    ]
+
+
+def nonzero_quaternion(rng):
+    while True:
+        q = rand_quaternion(rng)
+        if q:
+            return q
+
+
+def rand_invertible_rows(rng, size):
+    """A nonzero diagonal put through random row swaps and left row operations."""
+    rows = [
+        [nonzero_quaternion(rng) if r == c else Quaternion() for c in range(size)]
+        for r in range(size)
+    ]
+    for _ in range(3 * size):
+        r, s = rng.randrange(size), rng.randrange(size)
+        if r == s:
+            continue
+        if rng.random() < 0.3:
+            rows[r], rows[s] = rows[s], rows[r]
+        else:
+            f = rand_quaternion(rng)
+            rows[r] = [x + f * y for x, y in zip(rows[r], rows[s])]
+    return rows
+
+
+def test_left_inverse_under_the_conventional_product():
+    rng = random.Random(SEED + 17)
+    for size in (1, 2, 3, 4):
+        eye = [[Quaternion(int(r == c)) for c in range(size)] for r in range(size)]
+        for _ in range(12):
+            u = rand_invertible_rows(rng, size)
+            x = _left_inverse(u)
+            assert x is not None
+            assert conventional_product(x, u) == eye
+            assert conventional_product(u, x) == eye
+            # A row replaced by a left combination of the others is singular.
+            r = rng.randrange(size)
+            coefs = [rand_quaternion(rng) for _ in range(size)]
+            dep = [
+                sum((coefs[k] * u[k][c] for k in range(size) if k != r), Quaternion())
+                for c in range(size)
+            ]
+            assert _left_inverse(u[:r] + [dep] + u[r + 1:]) is None
 
 
 def test_coordinates_reconstruct_the_vector():

@@ -219,6 +219,24 @@ def test_ad_matrix_rejects_non_members():
     form = QuadraticForm([1, 1])
     with pytest.raises(NotInLieAlgebra):
         ad_matrix(form.one())
+    # Membership read from the terms agrees with c(x) = -x, also on elements
+    # mixing Lie and non-Lie blades.
+    rng = random.Random(SEED + 10)
+    for field in (None, F7):
+        form = QuadraticForm([1, -1, 2, 3], field)
+        seen = set()
+        for _ in range(60):
+            x = random_multivector(rng, form, terms=rng.randint(1, 5))
+            member = x.conjugate() == -x
+            seen.add(member)
+            if member:
+                assert len(ad_matrix(x)) == len(lie_blades(form))
+            else:
+                with pytest.raises(NotInLieAlgebra):
+                    ad_matrix(x)
+                with pytest.raises(NotInLieAlgebra):
+                    ad_matrix(x, lie_algebra_basis(form))
+        assert seen == {True, False}
 
 
 def test_killing_diagonal_closed_form():

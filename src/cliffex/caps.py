@@ -1,0 +1,37 @@
+"""Every rank cap of the engine, in one table.
+
+A cap is the largest rank n at which an enumeration, exact solve or dense
+cross-check runs; above it the route raises CapExceeded or the check is
+skipped (blade pairs are sampled).  The closed forms run at every rank.
+Callers read ``caps.NAME`` when they run, so a test can substitute a value
+with ``monkeypatch``.  Raise a cap only with a measurement at the new rank.
+"""
+from .errors import CapExceeded
+
+GENERATORS = 16  # generator counts a QuadraticForm accepts: the advertised n <= 16
+# Exact centralizer solve of center / lie_center (method="solve") and so of
+# verify_classification: a sparse elimination in 2^n unknowns.
+CENTER_SOLVE = 10
+KILLING_TRACE = 8  # trace route of killing_form: cubic in the Lie dimension
+ISOMETRY_GRAM = 8  # Gram preservation in isometry_evidence: a dim^3 loop
+MULTIPLICATIVITY = 6  # equivalence_isomorphism's check on all 4^n blade pairs
+UNIQUENESS_SOLVE = 3  # pairing axioms: 8^n equations in 4^n / 2 unknowns
+
+# Checks in checks.py that sweep dense objects.
+BLADE_PAIRS_EXHAUSTIVE = 5  # every blade pair against the word oracle; 200 sampled above
+KILLING_DICHOTOMY_CHECK = 4  # two dense commutators per pair of Lie blades
+INVERTIBILITY_CHECK = 6  # dense 2^n x 2^n determinants and inverses
+ADJOINT_MATRICES_CHECK = 5  # dense translation matrices and their adjoints
+EQUIVALENCE_CHECK = 4  # a full AlgebraMap, built and checked both ways
+
+
+def over(name: str, n: int) -> str:
+    """``"<name> capped at n = <value>"`` when rank n is above the cap, else ``""``."""
+    cap = globals()[name]
+    return f"{name} capped at n = {cap}" if n > cap else ""
+
+
+def require(name: str, n: int) -> None:
+    """Raise :class:`CapExceeded` when rank n is above the cap ``name``."""
+    if message := over(name, n):
+        raise CapExceeded(message)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from . import classify, linalg, operators, reference, structure
-from .core import QuadraticForm
+from . import caps, classify, linalg, operators, reference, structure
+from .core import QuadraticForm, conjugate_sign, involute_sign
 from .errors import CliffexError, InternalInconsistency, OddDimension
 from .quaternions import (
     HMatrix,
@@ -48,17 +48,23 @@ def _skip(name: str, detail: str) -> CheckResult:
     return CheckResult(name, True, detail, skipped=True)
 
 
+# Sampling tiers: they shrink checks but skip none, so they are not caps.
+FULL_SAMPLES, HALF_SAMPLES, DENSE_OPERANDS = 4, 6, 5
+
+
 def _sample_size(form: QuadraticForm, base: int) -> int:
-    # Dense products get expensive past rank 6; shrink sample counts.
-    if form.n <= 4:
+    # Dense products get expensive with the rank: all samples up to
+    # FULL_SAMPLES, half up to HALF_SAMPLES, a quarter above.
+    if form.n <= FULL_SAMPLES:
         return base
-    if form.n <= 6:
+    if form.n <= HALF_SAMPLES:
         return max(3, base // 2)
     return max(2, base // 4)
 
 
 def _sparse_terms(form: QuadraticForm) -> int | None:
-    return None if form.n <= 5 else 6
+    # Dense random operands up to DENSE_OPERANDS, 6 terms above.
+    return None if form.n <= DENSE_OPERANDS else 6
 
 
 def check_field_arithmetic(form: QuadraticForm, rng: Random) -> CheckResult:
@@ -86,8 +92,7 @@ def check_field_arithmetic(form: QuadraticForm, rng: Random) -> CheckResult:
 
 def check_blade_products(form: QuadraticForm, rng: Random) -> CheckResult:
     """Fast blade product against the word-sorting oracle."""
-    pairs = []
-    if form.n <= 5:
+    if form.n <= caps.BLADE_PAIRS_EXHAUSTIVE:
         pairs = [(a, b) for a in range(form.dim) for b in range(form.dim)]
     else:
         pairs = [
@@ -178,13 +183,15 @@ def check_pairing(form: QuadraticForm, rng: Random) -> CheckResult:
 
 
 def check_gram(form: QuadraticForm) -> CheckResult:
-    """Gram diagonal equals the product-route pairing on basis blades; off-diagonal zero."""
+    """Gram diagonal equals the pairing's definition on each basis blade,
+    the scalar e_m c(e_m) = c(m) e_m e_m; off-diagonal zero on a spot check."""
     gram = form.gram_diagonal()
-    blades = [form.basis_blade(m) for m in range(form.dim)]
     for m in range(form.dim):
-        if reference.product_pairing(blades[m], blades[m]) != gram[m]:
+        coef, mask = form.blade_product(m, m)
+        if mask or (coef if conjugate_sign(m) > 0 else -coef) != gram[m]:
             return _fail("gram", f"diagonal mismatch at mask {m}")
     limit = min(form.dim, 16)
+    blades = [form.basis_blade(m) for m in range(limit)]
     for a in range(limit):
         for b in range(limit):
             if a != b and reference.product_pairing(blades[a], blades[b]):
@@ -225,7 +232,8 @@ def check_volume(form: QuadraticForm) -> CheckResult:
 
 
 def volume_commutation_report(form: QuadraticForm) -> int:
-    """For even rank, count the basis blades satisfying x w = w involute(x).
+    """For even rank, count the basis blades satisfying x w = w involute(x),
+    each by its two blade products with the top blade w.
 
     Returns the number checked (all of them on success); raises
     :class:`OddDimension` for odd rank, where the top blade is instead
@@ -233,18 +241,19 @@ def volume_commutation_report(form: QuadraticForm) -> int:
     """
     if form.n % 2 == 1:
         raise OddDimension("the twisted commutation identity needs even rank")
-    omega = form.volume_element()
+    full = form.full_mask
+    product = form.blade_product
     for mask in range(form.dim):
-        x = form.basis_blade(mask)
-        if x * omega != omega * x.involute():
+        left, right = product(mask, full).coef, product(full, mask).coef
+        if left != (right if involute_sign(mask) > 0 else -right):
             raise InternalInconsistency(f"twisted commutation fails at mask {mask}")
     return form.dim
 
 
 def check_centers(form: QuadraticForm) -> CheckResult:
     """Solved centers must equal the closed-form answers as subspaces."""
-    if form.n > structure.SOLVE_CAP:
-        return _skip("centers", "rank above solve cap")
+    if why := caps.over("CENTER_SOLVE", form.n):
+        return _skip("centers", why)
     f = form.field
     for space, fn in (("algebra", structure.center), ("lie", structure.lie_center)):
         closed = fn(form, method="closed_form")
@@ -278,8 +287,8 @@ def check_lie_closure(form: QuadraticForm, rng: Random) -> CheckResult:
 
 def check_killing(form: QuadraticForm) -> CheckResult:
     """Counting route vs trace-of-ad route for the Killing form."""
-    if form.n > structure.ORACLE_CAP:
-        return _skip("killing", f"trace oracle capped at n = {structure.ORACLE_CAP}")
+    if why := caps.over("KILLING_TRACE", form.n):
+        return _skip("killing", why)
     counted = structure.killing_form(form, method="count")
     traced = structure.killing_form(form, method="trace")
     for rec_c, rec_t in zip(counted, traced):
@@ -298,8 +307,8 @@ def check_killing(form: QuadraticForm) -> CheckResult:
 
 def check_killing_dichotomy(form: QuadraticForm) -> CheckResult:
     """(ad x)^2 acts on each blade as 0 or as the scalar 4 x^2."""
-    if form.n > 4:
-        return _skip("killing_dichotomy", "exhaustive route restricted to small ranks")
+    if why := caps.over("KILLING_DICHOTOMY_CHECK", form.n):
+        return _skip("killing_dichotomy", why)
     blades = structure.lie_blades(form)
     four = form.field.element(4)
     for a in blades:
@@ -345,8 +354,8 @@ def check_decomposition(form: QuadraticForm) -> CheckResult:
 
 def check_invertibility(form: QuadraticForm, rng: Random) -> CheckResult:
     """Determinant tests versus actually producing a two-sided inverse."""
-    if form.n > 6:
-        return _skip("invertibility", "dense determinants restricted to small ranks")
+    if why := caps.over("INVERTIBILITY_CHECK", form.n):
+        return _skip("invertibility", why)
     inverted = 0
     for _ in range(_sample_size(form, 6)):
         x = reference.random_multivector(rng, form, _sparse_terms(form))
@@ -374,8 +383,8 @@ def check_invertibility(form: QuadraticForm, rng: Random) -> CheckResult:
 
 def check_adjoint_matrices(form: QuadraticForm, rng: Random) -> CheckResult:
     """Translation by the conjugate equals the pairing adjoint of translation."""
-    if form.n > 5:
-        return _skip("adjoint_matrices", "dense matrices restricted to small ranks")
+    if why := caps.over("ADJOINT_MATRICES_CHECK", form.n):
+        return _skip("adjoint_matrices", why)
     for _ in range(3):
         x = reference.random_multivector(rng, form, _sparse_terms(form))
         left = operators.left_matrix(x)
@@ -391,8 +400,8 @@ def check_adjoint_matrices(form: QuadraticForm, rng: Random) -> CheckResult:
 
 def check_equivalence(form: QuadraticForm, rng: Random) -> CheckResult:
     """Build a guaranteed equivalence by squared scaling and verify it."""
-    if form.n > 4:
-        return _skip("equivalence", "map verification restricted to small ranks")
+    if why := caps.over("EQUIVALENCE_CHECK", form.n):
+        return _skip("equivalence", why)
     f = form.field
     scales = [reference.random_nonzero_element(rng, f) for _ in range(form.n)]
     target = form
@@ -423,8 +432,8 @@ def check_uniqueness(form: QuadraticForm) -> CheckResult:
     unique.  Requiring parity invariance on top must force uniqueness in
     every rank.
     """
-    if form.n > 3:
-        return _skip("uniqueness", "axiom solve capped at rank 3")
+    if why := caps.over("UNIQUENESS_SOLVE", form.n):
+        return _skip("uniqueness", why)
     rep = operators.pairing_uniqueness_report(form)
     if not rep.consistent:
         return _fail("uniqueness", "axiom system inconsistent")
@@ -481,8 +490,8 @@ def check_classification(form: QuadraticForm) -> CheckResult:
         return _skip("classification", "table verification runs over the rationals")
     if any(form.field.sign_of(q) <= 0 for q in form.diag):
         return _skip("classification", "table describes positive definite forms")
-    if form.n > classify.VERIFY_CAP:
-        return _skip("classification", "rank above verification cap")
+    if why := caps.over("CENTER_SOLVE", form.n):
+        return _skip("classification", why)
     rep = classify.verify_classification(form.n)
     if not rep.passed:
         return _fail("classification", f"table mismatch at rank {form.n}")

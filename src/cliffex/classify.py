@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import structure
+from . import caps, structure
 from .core import QuadraticForm
 from .errors import CapExceeded
 from .field import RATIONAL
@@ -138,19 +138,17 @@ class ClassificationReport:
         )
 
 
-VERIFY_CAP = 10
-
-
-def verify_classification(n: int, cap: int = VERIFY_CAP) -> ClassificationReport:
+def verify_classification(n: int) -> ClassificationReport:
     """Check the table's predictions against exact computation at rank n.
 
     Uses the unit-diagonal rational form.  The Lie dimension must match
     the group's dimension, the exactly solved Lie center must match the
     period-4 prediction, the Killing form must be negative on every ideal
-    blade, and the table algebra's real dimension must be 2^n.
+    blade, and the table algebra's real dimension must be 2^n.  The exact
+    Lie-center solve is the only capped step, so its cap is checked before
+    the form is built.
     """
-    if not 1 <= n <= cap:
-        raise CapExceeded(f"classification verification is capped at 1..{cap}")
+    caps.require("CENTER_SOLVE", n)
     form = QuadraticForm([1] * n, RATIONAL)
     algebra = matrix_algebra_of(n)
     group = isometry_group_of(n)

@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 
-from . import classify, linalg, operators, structure
+from . import caps, classify, linalg, operators, structure
 from .checks import run_checks
 from .core import QuadraticForm
 from .errors import CliffexError
@@ -213,13 +213,12 @@ def _cmd_info(args) -> int:
 
 def _cmd_center(args) -> int:
     form = _build_form(args)
-    cap = args.max_n if args.max_n is not None else structure.SOLVE_CAP
     closed = structure.center(form, method="closed_form")
     lie_closed = structure.lie_center(form, method="closed_form")
     agree = None
-    if args.method in ("solve", "both") and form.n <= cap:
-        solved = structure.center(form, method="solve", solve_cap=cap)
-        lie_solved = structure.lie_center(form, method="solve", solve_cap=cap)
+    if args.method in ("solve", "both") and not caps.over("CENTER_SOLVE", form.n):
+        solved = structure.center(form, method="solve")
+        lie_solved = structure.lie_center(form, method="solve")
         agree = (
             solved.dimension == closed.dimension
             and lie_solved.dimension == lie_closed.dimension
@@ -271,10 +270,7 @@ def _cmd_lie(args) -> int:
 
 def _cmd_killing(args) -> int:
     form = _build_form(args)
-    if args.max_n is not None:
-        records = structure.killing_form(form, method=args.method, oracle_cap=args.max_n)
-    else:
-        records = structure.killing_form(form, method=args.method)
+    records = structure.killing_form(form, method=args.method)
     f = form.field
     obj = {
         "n": form.n,
@@ -447,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("center", help="centers of the algebra and its Lie algebra")
     _add_common(p)
     p.add_argument("--method", choices=("closed_form", "solve", "both"), default="both")
-    p.add_argument("--max-n", type=int, default=None, help="override the solve-route cap")
     p.set_defaults(handler=_cmd_center)
 
     p = subs.add_parser("lie", help="the isometry Lie algebra, or membership")
@@ -458,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("killing", help="diagonal Killing form entries")
     _add_common(p)
     p.add_argument("--method", choices=("count", "trace"), default="count")
-    p.add_argument("--max-n", type=int, default=None, help="override the trace-oracle cap")
     p.set_defaults(handler=_cmd_killing)
 
     p = subs.add_parser("decompose", help="full structure report")

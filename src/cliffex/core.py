@@ -18,9 +18,9 @@ field named by the form's :class:`~cliffex.field.FieldSpec`.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from . import caps
 from .errors import (
     CapExceeded,
     DegenerateForm,
@@ -28,9 +28,7 @@ from .errors import (
     MismatchedForm,
     ParseError,
 )
-from .field import RATIONAL, FieldElement, FieldSpec, Fp
-
-MAX_GENERATORS = 16
+from .field import NUMBERS, RATIONAL, FieldElement, FieldSpec
 
 
 def reorder_parity(a: int, b: int) -> int:
@@ -112,9 +110,9 @@ class QuadraticForm:
         if field is None:
             field = RATIONAL
         entries = tuple(field.element(v) for v in diag)
-        if not 1 <= len(entries) <= MAX_GENERATORS:
+        if not 1 <= len(entries) <= caps.GENERATORS:
             raise CapExceeded(
-                f"supported generator counts are 1..{MAX_GENERATORS}, got {len(entries)}"
+                f"supported generator counts are 1..{caps.GENERATORS}, got {len(entries)}"
             )
         for pos, q in enumerate(entries, start=1):
             if not q:
@@ -364,9 +362,9 @@ class Multivector:
             raise MismatchedForm("operands live over different quadratic forms")
 
     def _as_scalar(self, value) -> Optional[FieldElement]:
-        # Numbers become field elements, so a value from another field raises
-        # MixedFieldSpec; text and other types are not scalar operands.
-        if isinstance(value, (int, Fraction, Fp)):
+        # Numbers become field elements, so a float or a value from another
+        # field raises MixedFieldSpec; text and other types are not scalars.
+        if isinstance(value, NUMBERS):
             return self.form.field.element(value)
         return None
 
@@ -580,38 +578,29 @@ def format_blade(mask: int, n: int) -> str:
     return "e{" + ",".join(str(i) for i in idxs) + "}"
 
 
-def parse_multivector(text: str, form: QuadraticForm) -> Multivector:
-    """Parse a sum of optionally scaled blades over the form's field."""
+def split_terms(text: str, kind: str) -> list:
+    """Split a ``kind`` literal (multivector, quaternion) into (sign, term) pairs.
+    Signs occur only as term separators plus one optional leading sign."""
     s = text.strip()
     if not s:
-        raise ParseError("empty multivector literal")
-    # Signs occur only as term separators plus one optional leading minus,
-    # so a plain character scan splits the terms.
+        raise ParseError(f"empty {kind} literal")
+    parts = re.split(r"([+-])", s)
+    # Pair each term with the sign before it; a term with none is positive.
+    parts[0:1] = [] if s[0] in "+-" else ["+", parts[0]]
     chunks = []
-    start = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        start = 1
-    cur = []
-    for ch in s[start:]:
-        if ch in "+-":
-            chunk = "".join(cur).strip()
-            if not chunk:
-                raise ParseError(f"empty term in {text!r}")
-            chunks.append((sign, chunk))
-            sign = -1 if ch == "-" else 1
-            cur = []
-        else:
-            cur.append(ch)
-    chunk = "".join(cur).strip()
-    if not chunk:
-        raise ParseError(f"empty term in {text!r}")
-    chunks.append((sign, chunk))
+    for sign, chunk in zip(parts[::2], parts[1::2]):
+        chunk = chunk.strip()
+        if not chunk:
+            raise ParseError(f"empty term in {text!r}")
+        chunks.append((-1 if sign == "-" else 1, chunk))
+    return chunks
 
+
+def parse_multivector(text: str, form: QuadraticForm) -> Multivector:
+    """Parse a sum of optionally scaled blades over the form's field."""
     field = form.field
     coeffs = [field.zero] * form.dim
-    for sgn, chunk in chunks:
+    for sgn, chunk in split_terms(text, "multivector"):
         if "*" in chunk:
             coef_text, blade_text = chunk.split("*", 1)
             coef = field.parse(coef_text.strip())

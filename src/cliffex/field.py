@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Number
 from typing import Union
 
 from .errors import (
@@ -163,6 +164,11 @@ class Fp:
 
 
 FieldElement = Union[Fraction, Fp]
+
+# Scalar operands of the element types: each goes through FieldSpec.element,
+# which refuses floats and foreign residues; anything else is not a scalar.
+# The common types come first, ahead of the slower abstract-class checks.
+NUMBERS = (int, Fp, Fraction, Number)
 
 _FP_TEXT = re.compile(r"^\s*(-?\d+)\s+mod\s+(\d+)\s*$")
 _RAT_TEXT = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from . import linalg
+from . import caps, linalg
 from .core import (
     Multivector,
     QuadraticForm,
@@ -21,7 +21,6 @@ from .core import (
     reorder_parity,
 )
 from .errors import (
-    CapExceeded,
     DimensionMismatch,
     InternalInconsistency,
     MismatchedForm,
@@ -178,9 +177,6 @@ class AlgebraMap:
         return True
 
 
-_MULTIPLICATIVITY_CAP = 6
-
-
 def equivalence_isomorphism(
     t: list, source: QuadraticForm, target: QuadraticForm
 ) -> AlgebraMap:
@@ -191,7 +187,7 @@ def equivalence_isomorphism(
     G_source on the generators; otherwise :class:`NotEquivalent`.  The
     resulting map sends a source blade to the ordered product of its
     generators' images and is multiplicative; construction checks that on
-    all blade pairs when n <= 6.
+    all blade pairs up to rank ``caps.MULTIPLICATIVITY``.
     """
     if source.field != target.field or source.n != target.n:
         raise MismatchedForm("equivalence needs two forms of equal rank over one field")
@@ -225,7 +221,7 @@ def equivalence_isomorphism(
         img = gen_images[low.bit_length() - 1]
         blade_images.append(img * blade_images[rest] if rest else img)
     amap = AlgebraMap(source, target, rows, blade_images)
-    if n <= _MULTIPLICATIVITY_CAP and not amap.verify_multiplicative():
+    if n <= caps.MULTIPLICATIVITY and not amap.verify_multiplicative():
         raise InternalInconsistency("constructed map failed multiplicativity")
     return amap
 
@@ -258,13 +254,8 @@ class UniquenessReport:
     kernel_is_volume_twist: Optional[bool] = None
 
 
-_UNIQUENESS_CAP = 3
-
-
 def pairing_uniqueness_report(
-    form: QuadraticForm,
-    cap: int = _UNIQUENESS_CAP,
-    require_parity_invariance: bool = False,
+    form: QuadraticForm, require_parity_invariance: bool = False
 ) -> UniquenessReport:
     """Set up the axioms of the canonical pairing as linear equations.
 
@@ -284,8 +275,7 @@ def pairing_uniqueness_report(
     B(alpha(x), alpha(y)) = B(x, y) for the parity involution alpha, which
     kills the twisted family and restores a unique solution.
     """
-    if form.n > cap:
-        raise CapExceeded(f"uniqueness solve is capped at n = {cap}")
+    caps.require("UNIQUENESS_SOLVE", form.n)
     f = form.field
     dim = form.dim
 

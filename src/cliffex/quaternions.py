@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .core import Multivector, QuadraticForm
+from .core import Multivector, QuadraticForm, split_terms
 from .errors import (
     DimensionMismatch,
     InversionOfZero,
@@ -35,7 +35,7 @@ from .errors import (
     SingularBasis,
     WrongForm,
 )
-from .field import RATIONAL
+from .field import NUMBERS, RATIONAL
 
 
 class Quaternion:
@@ -101,10 +101,13 @@ class Quaternion:
         den = self._den
         return tuple(Fraction(x, den) for x in self._num)
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
+        """``other`` as a quaternion if it is one or a number (which may raise
+        :class:`MixedFieldSpec`, as the constructor does), else None."""
         if isinstance(other, Quaternion):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, NUMBERS):
             return Quaternion(other)
         return None
 
@@ -183,6 +186,12 @@ class Quaternion:
             return NotImplemented
         return self * o.inverse()
 
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -248,33 +257,8 @@ _QTERM = re.compile(r"^([+-]?\d+(?:/\d+)?)?\s*\*?\s*([ijk]?)$")
 
 def parse_quaternion(text: str) -> Quaternion:
     """Parse ``a + bi + cj + dk`` with rational components."""
-    s = text.strip()
-    if not s:
-        raise ParseError("empty quaternion literal")
-    chunks = []
-    start = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        start = 1
-    cur: list = []
-    for ch in s[start:]:
-        if ch in "+-":
-            chunk = "".join(cur).strip()
-            if not chunk:
-                raise ParseError(f"empty term in {text!r}")
-            chunks.append((sign, chunk))
-            sign = -1 if ch == "-" else 1
-            cur = []
-        else:
-            cur.append(ch)
-    chunk = "".join(cur).strip()
-    if not chunk:
-        raise ParseError(f"empty term in {text!r}")
-    chunks.append((sign, chunk))
-
     comps = {unit: Fraction(0) for unit in _UNIT_ORDER}
-    for sgn, chunk in chunks:
+    for sgn, chunk in split_terms(text, "quaternion"):
         m = _QTERM.match(chunk)
         if not m or (m.group(1) is None and not m.group(2)):
             raise ParseError(f"bad quaternion term {chunk!r}")
@@ -308,11 +292,10 @@ class HMatrix:
 
     @staticmethod
     def _as_quat(v) -> Quaternion:
-        if isinstance(v, Quaternion):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return Quaternion(v)
-        raise DimensionMismatch(f"entry {v!r} is not a quaternion")
+        q = Quaternion._coerce(v)
+        if q is None:
+            raise DimensionMismatch(f"entry {v!r} is not a quaternion")
+        return q
 
     @staticmethod
     def identity(size: int) -> "HMatrix":

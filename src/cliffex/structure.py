@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Optional, Sequence
 
-from . import linalg, reference
+from . import caps, linalg, reference
 from .core import (
     Multivector,
     QuadraticForm,
@@ -30,7 +30,6 @@ from .core import (
     format_blade,
 )
 from .errors import (
-    CapExceeded,
     NotDefiniteForm,
     NotInLieAlgebra,
     NotInvariantSubspace,
@@ -38,9 +37,6 @@ from .errors import (
     ZeroElement,
 )
 from .field import FieldElement
-
-SOLVE_CAP = 10
-ORACLE_CAP = 8
 
 
 def is_lie_blade(mask: int) -> bool:
@@ -104,15 +100,14 @@ def _centralizer_kernel(form: QuadraticForm, masks: Sequence[int]) -> list:
     return out
 
 
-def center(form: QuadraticForm, method: str = "closed_form", solve_cap: int = SOLVE_CAP) -> CenterDescription:
+def center(form: QuadraticForm, method: str = "closed_form") -> CenterDescription:
     """Center of the full algebra: scalars, plus the top blade when n is odd."""
     if method == "closed_form":
         basis = [form.one()]
         if form.n % 2 == 1:
             basis.append(form.volume_element())
     elif method == "solve":
-        if form.n > solve_cap:
-            raise CapExceeded(f"center solve capped at n = {solve_cap}")
+        caps.require("CENTER_SOLVE", form.n)
         basis = _centralizer_kernel(form, range(form.dim))
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -120,7 +115,7 @@ def center(form: QuadraticForm, method: str = "closed_form", solve_cap: int = SO
     return CenterDescription("algebra", method, len(basis), tuple(basis), contains_volume)
 
 
-def lie_center(form: QuadraticForm, method: str = "closed_form", solve_cap: int = SOLVE_CAP) -> CenterDescription:
+def lie_center(form: QuadraticForm, method: str = "closed_form") -> CenterDescription:
     """Center of the Lie algebra: the top-blade line iff n = 1 mod 4.
 
     For Lie-algebra elements, commuting with every generator (as an
@@ -132,8 +127,7 @@ def lie_center(form: QuadraticForm, method: str = "closed_form", solve_cap: int 
     if method == "closed_form":
         basis = [form.volume_element()] if form.n % 4 == 1 else []
     elif method == "solve":
-        if form.n > solve_cap:
-            raise CapExceeded(f"center solve capped at n = {solve_cap}")
+        caps.require("CENTER_SOLVE", form.n)
         basis = _centralizer_kernel(form, lie_blades(form))
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -189,7 +183,7 @@ def killing_entry(form: QuadraticForm, a: int, b: int) -> FieldElement:
     return four * form.field.element(m) * form.blade_square(a)
 
 
-def killing_form(form: QuadraticForm, method: str = "count", oracle_cap: int = ORACLE_CAP) -> list:
+def killing_form(form: QuadraticForm, method: str = "count") -> list:
     """All diagonal Killing entries, ascending by blade mask.
 
     ``method="count"`` uses the anticommutation-count closed form;
@@ -199,8 +193,8 @@ def killing_form(form: QuadraticForm, method: str = "count", oracle_cap: int = O
     """
     if method not in ("count", "trace"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "trace" and form.n > oracle_cap:
-        raise CapExceeded(f"trace route capped at n = {oracle_cap}")
+    if method == "trace":
+        caps.require("KILLING_TRACE", form.n)
     records = []
     for mask in lie_blades(form):
         m = killing_count(form, mask)
@@ -426,12 +420,12 @@ def is_isometry(g: Multivector) -> bool:
     return g * c == one and c * g == one
 
 
-def isometry_evidence(g: Multivector, gram_cap: int = ORACLE_CAP) -> IsometryEvidence:
+def isometry_evidence(g: Multivector) -> IsometryEvidence:
     """Unit condition plus (capped) exact Gram preservation of translations.
 
     For an isometry, both translations preserve the canonical pairing's
     Gram matrix; the matrix check costs dim^3 and is skipped (None) above
-    the cap.
+    ``caps.ISOMETRY_GRAM``.
     """
     from .operators import left_matrix, right_matrix
 
@@ -444,7 +438,7 @@ def isometry_evidence(g: Multivector, gram_cap: int = ORACLE_CAP) -> IsometryEvi
     right_unit = c * g == one
 
     left_gram = right_gram = None
-    if form.n <= gram_cap:
+    if form.n <= caps.ISOMETRY_GRAM:
         gram = form.gram_diagonal()
         left_gram = _preserves_gram(left_matrix(g), gram, form)
         right_gram = _preserves_gram(right_matrix(g), gram, form)

@@ -1,0 +1,142 @@
+"""The cap table: one module holds every rank cap, and every capped route
+refuses before it starts work."""
+import ast
+from pathlib import Path
+
+import pytest
+
+from cliffex import (
+    FieldSpec,
+    QuadraticForm,
+    caps,
+    center,
+    classify,
+    killing_form,
+    lie_center,
+    pairing_uniqueness_report,
+    run_checks,
+    structure,
+    verify_classification,
+)
+from cliffex.errors import CapExceeded
+
+SRC = Path(caps.__file__).parent
+TABLE = {name: value for name, value in vars(caps).items() if name.isupper()}
+
+
+def _fail_if_called(*args, **kwargs):
+    pytest.fail("a capped route started work above its cap")
+
+
+def _is_rank(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "n") or (
+        isinstance(node, ast.Attribute) and node.attr == "n"
+    )
+
+
+def test_no_module_compares_a_rank_against_a_literal():
+    """Caps live in the table: the modules that run capped routes compare a
+    rank only with a table entry.  Ranks start at 1, so a bound of 0 or 1
+    rejects what is not a rank at all and caps nothing."""
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    for module in ("checks.py", "structure.py", "operators.py", "classify.py"):
+        tree = ast.parse((SRC / module).read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for i, op in enumerate(node.ops):
+                pair = operands[i], operands[i + 1]
+                if not isinstance(op, ordering) or not any(map(_is_rank, pair)):
+                    continue
+                for side in pair:
+                    literal = isinstance(side, ast.Constant) and isinstance(side.value, int)
+                    assert not (literal and side.value > 1), (
+                        f"{module}:{node.lineno} compares a rank against {side.value}"
+                    )
+
+
+def test_every_table_entry_is_read_and_every_named_cap_exists():
+    assert TABLE and all(isinstance(v, int) for v in TABLE.values())
+    read = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "caps.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "caps":
+                    assert node.attr in TABLE or node.attr in ("over", "require"), node.attr
+                    read.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") in ("over", "require"):
+                arg = node.args[0]
+                if isinstance(arg, ast.Constant):
+                    assert arg.value in TABLE, (path.name, node.lineno, arg.value)
+                    read.add(arg.value)
+    assert set(TABLE) <= read, set(TABLE) - read
+
+
+def test_capped_routes_refuse_before_any_work(monkeypatch):
+    monkeypatch.setattr(structure, "_centralizer_kernel", _fail_if_called)
+    monkeypatch.setattr(structure, "ad_matrix", _fail_if_called)
+    monkeypatch.setattr(classify, "matrix_algebra_of", _fail_if_called)
+    monkeypatch.setattr(QuadraticForm, "blade_product", _fail_if_called)
+    solve = f"^CENTER_SOLVE capped at n = {caps.CENTER_SOLVE}$"
+    above = QuadraticForm([1] * (caps.CENTER_SOLVE + 1))
+    for route in (center, lie_center):
+        with pytest.raises(CapExceeded, match=solve):
+            route(above, method="solve")
+    with pytest.raises(CapExceeded, match=solve):
+        verify_classification(caps.CENTER_SOLVE + 1)
+    # A rank from the command line is refused before a form of that rank is built.
+    monkeypatch.setattr(classify, "QuadraticForm", _fail_if_called)
+    with pytest.raises(CapExceeded, match=solve):
+        verify_classification(10**9)
+    with pytest.raises(CapExceeded, match=f"^KILLING_TRACE capped at n = {caps.KILLING_TRACE}$"):
+        killing_form(QuadraticForm([1] * (caps.KILLING_TRACE + 1)), method="trace")
+    above = QuadraticForm([1] * (caps.UNIQUENESS_SOLVE + 1))
+    for parity in (False, True):
+        with pytest.raises(CapExceeded, match="^UNIQUENESS_SOLVE capped at n = "):
+            pairing_uniqueness_report(above, require_parity_invariance=parity)
+
+
+def test_a_lowered_cap_takes_effect_when_the_route_runs(monkeypatch):
+    form = QuadraticForm([1, 1, 1])
+    assert center(form, method="solve").dimension == 2
+    monkeypatch.setattr(caps, "CENTER_SOLVE", 2)
+    with pytest.raises(CapExceeded, match="^CENTER_SOLVE capped at n = 2$"):
+        center(form, method="solve")
+    assert [r.detail for r in run_checks(form) if r.name == "centers"] == [
+        "CENTER_SOLVE capped at n = 2"
+    ]
+    monkeypatch.setattr(caps, "GENERATORS", 2)
+    with pytest.raises(CapExceeded, match="supported generator counts are 1..2, got 3"):
+        QuadraticForm([1, 1, 1])
+
+
+# Above every check's cap: the check name and the table entry that skips it.
+SKIPPED_BY = {
+    "centers": "CENTER_SOLVE",
+    "killing": "KILLING_TRACE",
+    "killing_dichotomy": "KILLING_DICHOTOMY_CHECK",
+    "invertibility": "INVERTIBILITY_CHECK",
+    "adjoint_matrices": "ADJOINT_MATRICES_CHECK",
+    "equivalence": "EQUIVALENCE_CHECK",
+    "uniqueness": "UNIQUENESS_SOLVE",
+    "classification": "CENTER_SOLVE",
+}
+
+
+@pytest.mark.parametrize(
+    "text, field", [("sig:11,0", "rational"), ("sig:12,0", "rational"), ("sig:12,0", "fp:7")]
+)
+def test_checks_pass_above_every_cap(text, field):
+    results = run_checks(QuadraticForm.from_text(text, FieldSpec.from_text(field)), seed=0)
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    skipped = {r.name: r.detail for r in results if r.skipped}
+    expected = {
+        name: f"{cap} capped at n = {TABLE[cap]}" for name, cap in SKIPPED_BY.items()
+    }
+    if field != "rational":
+        expected["definiteness"] = "needs an ordered field"
+        expected["classification"] = "table verification runs over the rationals"
+    assert skipped == expected

@@ -3,9 +3,16 @@ import dataclasses
 
 import pytest
 
-from cliffex import QuadraticForm, run_checks, structure
-from cliffex.checks import check_decomposition, check_killing, volume_commutation_report
-from cliffex.errors import OddDimension
+from cliffex import QuadraticForm, caps, run_checks, structure
+from cliffex.checks import (
+    check_decomposition,
+    check_gram,
+    check_killing,
+    check_volume,
+    volume_commutation_report,
+)
+from cliffex.core import BladeProduct
+from cliffex.errors import InternalInconsistency, OddDimension
 from cliffex.field import RATIONAL, FieldSpec
 
 EXPECTED_NAMES = [
@@ -104,6 +111,35 @@ def test_volume_commutation_report():
         volume_commutation_report(QuadraticForm([1, 1, 1], RATIONAL))
 
 
+def test_gram_check_catches_one_altered_entry(monkeypatch):
+    for form in (QuadraticForm([2, -3, 5], RATIONAL), QuadraticForm([3, -1], FieldSpec.prime(7))):
+        assert check_gram(form).passed
+        gram = form.gram_diagonal()
+        for mask in range(form.dim):
+            bad = gram[:mask] + (gram[mask] + gram[mask],) + gram[mask + 1 :]
+            monkeypatch.setattr(QuadraticForm, "gram_diagonal", lambda self, bad=bad: bad)
+            result = check_gram(form)
+            assert not result.passed and result.detail == f"diagonal mismatch at mask {mask}"
+            monkeypatch.undo()
+
+
+def test_volume_report_catches_one_flipped_blade_product(monkeypatch):
+    product = QuadraticForm.blade_product
+    f7 = FieldSpec.prime(7)
+    for form in (QuadraticForm([2, -3], RATIONAL), QuadraticForm([1, 2, -1, 3], f7)):
+        # At the top blade both sides are the one product w w: nothing to flip.
+        for mask in range(form.full_mask):
+            def flipped(self, a, b, mask=mask):
+                coef, out = product(self, a, b)
+                return BladeProduct(-coef if (a, b) == (mask, form.full_mask) else coef, out)
+
+            monkeypatch.setattr(QuadraticForm, "blade_product", flipped)
+            with pytest.raises(InternalInconsistency, match=f"fails at mask {mask}$"):
+                volume_commutation_report(form)
+            assert not check_volume(form).passed
+            monkeypatch.undo()
+
+
 def test_decomposition_check_rejects_altered_results(monkeypatch):
     for form in (QuadraticForm([1] * 5), QuadraticForm([1] * 4, FieldSpec.prime(3))):
         dec = structure.decompose(form)
@@ -120,11 +156,12 @@ def test_decomposition_check_rejects_altered_results(monkeypatch):
 
 
 def test_killing_check_runs_the_trace_route_up_to_the_oracle_cap(monkeypatch):
-    for n in (6, 8):
+    for n in (6, caps.KILLING_TRACE):
         result = check_killing(QuadraticForm([1] * n, RATIONAL))
         assert result.passed and not result.skipped, result
-    above = check_killing(QuadraticForm([1] * 9, RATIONAL))
-    assert above.skipped and str(structure.ORACLE_CAP) in above.detail
+    above = check_killing(QuadraticForm([1] * (caps.KILLING_TRACE + 1), RATIONAL))
+    assert above.skipped
+    assert above.detail == f"KILLING_TRACE capped at n = {caps.KILLING_TRACE}"
     # Doubling every adjoint matrix quadruples the traces: the routes disagree.
     ad = structure.ad_matrix
     monkeypatch.setattr(

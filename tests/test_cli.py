@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import cliffex
+from cliffex import caps
 from cliffex.cli import OPERATION_COMMAND, build_parser, main
 
 
@@ -59,11 +60,11 @@ def test_domain_errors_exit_one_with_error_name(capsys):
     assert code == 1
     assert err.startswith("ZeroElement:")
 
-    code, _, err = run_cli(
-        capsys, "killing", "--form", "diag:1,1,1", "--method", "trace", "--max-n", "2"
-    )
+    # One rank above the table's trace cap.
+    above = f"sig:{caps.KILLING_TRACE + 1},0"
+    code, _, err = run_cli(capsys, "killing", "--form", above, "--method", "trace")
     assert code == 1
-    assert err.startswith("CapExceeded:")
+    assert err == f"CapExceeded: KILLING_TRACE capped at n = {caps.KILLING_TRACE}\n"
 
 
 def test_usage_errors_exit_two():
@@ -73,6 +74,8 @@ def test_usage_errors_exit_two():
         ["product", "--form", "diag:1,1", "e1"],  # missing second operand
         ["classify"],  # missing --n
         ["involute", "--form", "diag:1,1", "e1"],  # missing --kind
+        ["center", "--form", "diag:1,1", "--max-n", "2"],  # caps live in one table
+        ["killing", "--form", "diag:1,1", "--max-n", "2"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -133,10 +136,9 @@ def test_center_reports_method_agreement(capsys):
     assert obj["center"]["dim"] == 2
     assert obj["lie_center"]["dim"] == 0
     assert obj["methods_agree"] is True
-    # Pull the cap below the rank: the cross-check is skipped, not failed.
-    code, out, _ = run_cli(
-        capsys, "center", "--form", "diag:1,1,-1", "--max-n", "2", "--format", "json"
-    )
+    # Above the table's solve cap the cross-check is skipped, not failed.
+    above = f"sig:{caps.CENTER_SOLVE + 1},0"
+    code, out, _ = run_cli(capsys, "center", "--form", above, "--format", "json")
     assert code == 0
     assert json.loads(out)["methods_agree"] is None
 
@@ -249,9 +251,10 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, monkeypat
     built = []
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
     cli._parser.cache_clear()
-    argv = ("killing", "--form", "diag:1,1,1", "--method", "trace")
-    assert run_cli(capsys, *argv, "--max-n", "2")[0] == 1
-    code, out, err = run_cli(capsys, *argv)  # the cap override does not carry over
+    above = f"sig:{caps.KILLING_TRACE + 1},0"
+    assert run_cli(capsys, "killing", "--form", above, "--method", "trace")[0] == 1
+    # The failed call leaves nothing behind for the next one.
+    code, out, err = run_cli(capsys, "killing", "--form", "diag:1,1,1", "--method", "trace")
     assert (code, err) == (0, "") and out
     assert built == [1]
     cli._parser.cache_clear()

@@ -223,8 +223,15 @@ def test_scalar_operands_are_strict():
                 with pytest.raises(TypeError):
                     op(text, x)
             assert x != text
-        with pytest.raises(TypeError):
-            x + 1.5
+    # A float is a number outside every field here: refused, never coerced.
+    for x in (e1, f1):
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(MixedFieldSpec):
+                op(x, 1.5)
+            with pytest.raises(MixedFieldSpec):
+                op(1.5, x)
+    with pytest.raises(MixedFieldSpec):
+        QuadraticForm([1, 1]).one() * 0.5
 
 
 def test_vector_square_rule():

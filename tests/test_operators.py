@@ -8,6 +8,7 @@ from cliffex import (
     RATIONAL,
     FieldSpec,
     QuadraticForm,
+    caps,
     equivalence_isomorphism,
     inverse,
     is_invertible,
@@ -331,9 +332,10 @@ def test_uniqueness_solution_is_the_gram_diagonal():
             assert rep.solution[a][b] == want
 
 
-def test_uniqueness_solver_cap():
-    with pytest.raises(CapExceeded):
+def test_uniqueness_solver_cap(monkeypatch):
+    with pytest.raises(CapExceeded, match="UNIQUENESS_SOLVE capped at n = 3"):
         pairing_uniqueness_report(QuadraticForm([1, 1, 1, 1]))
-    # The cap is an argument, not a constant.
-    rep = pairing_uniqueness_report(QuadraticForm([1, 1, 1, 1]), cap=4)
+    # The cap is read from the table when the solve runs.
+    monkeypatch.setattr(caps, "UNIQUENESS_SOLVE", 4)
+    rep = pairing_uniqueness_report(QuadraticForm([1, 1, 1, 1]))
     assert rep.consistent

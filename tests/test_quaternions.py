@@ -223,6 +223,8 @@ def test_identity_action_and_shape_checks():
     with pytest.raises(DimensionMismatch):
         HMatrix.identity(2).action((Quaternion.one(),))
     with pytest.raises(DimensionMismatch):
+        HMatrix([["1"]])
+    with pytest.raises(MixedFieldSpec):
         HMatrix([[1.5]])
 
 

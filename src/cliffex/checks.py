@@ -353,7 +353,12 @@ def check_decomposition(form: QuadraticForm) -> CheckResult:
 
 
 def check_invertibility(form: QuadraticForm, rng: Random) -> CheckResult:
-    """Determinant tests versus actually producing a two-sided inverse."""
+    """Determinant tests versus actually producing a two-sided inverse.
+
+    The pair of translation determinants, both read from one elimination
+    of the integer left translation, is checked against the determinant of
+    the right translation matrix taken through the field-element route.
+    """
     if why := caps.over("INVERTIBILITY_CHECK", form.n):
         return _skip("invertibility", why)
     inverted = 0
@@ -361,7 +366,12 @@ def check_invertibility(form: QuadraticForm, rng: Random) -> CheckResult:
         x = reference.random_multivector(rng, form, _sparse_terms(form))
         if x.is_zero():
             continue
+        det_r = linalg.determinant(operators.right_matrix(x), form.field)
+        if operators.translation_determinants(x) != (det_r, det_r):
+            return _fail("invertibility", "translation determinants differ from det R_x")
         invertible = operators.is_invertible(x)
+        if invertible != bool(det_r):
+            return _fail("invertibility", "invertibility disagrees with det R_x")
         if invertible:
             y = operators.inverse(x)
             if x * y != form.one() or y * x != form.one():

@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 
-from . import caps, classify, linalg, operators, structure
+from . import caps, classify, operators, structure
 from .checks import run_checks
 from .core import QuadraticForm
 from .errors import CliffexError
@@ -186,8 +186,8 @@ def _cmd_info(args) -> int:
         else:
             left = operators.left_matrix(x)
             right = operators.right_matrix(x)
-            dl, dr = linalg.determinant(left, f), linalg.determinant(right, f)
-            zd = (not dl) or (not dr)
+            dl, dr = operators.translation_determinants(x)
+            zd = not dl
             elem = {
                 "input": str(x),
                 "grades": sorted(x.grades()),

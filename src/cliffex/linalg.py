@@ -2,8 +2,11 @@
 
 Dense routines (determinant, solve, inverse) work on lists of lists of
 field elements and share one fraction-free Bareiss core, ``_eliminate``.
-It runs on plain ints, rows scaled to integers over the rationals and
-residues over F_p, and yields the determinant and the solution together.
+It runs on plain ints, integers over the rationals and residues over F_p,
+and yields the determinant and the solution together.  The public
+routines reach it through one boundary step, ``_integer_rows``, that
+scales each row of field elements to ints; callers that already hold
+integer rows (the translation operators) pass them straight in.
 
 Sparse routines work on rows stored as ``{column: value}`` dicts.  The
 linear systems built downstream (centralizer conditions, bilinear-form
@@ -64,36 +67,22 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def _eliminate(a: Matrix, rhs: Matrix, field: FieldSpec):
-    """Fraction-free elimination of the augmented system ``[a | rhs]``.
+def _eliminate(rows: list, n: int, p: Optional[int]) -> tuple:
+    """Fraction-free elimination of an integer augmented system, in place.
 
-    ``rhs`` holds one row of right-hand sides per row of ``a`` (empty rows
-    for a bare determinant).  Returns ``(det, x)`` with ``x`` the rows of
-    the solution of ``a x = rhs``, or ``(0, None)`` when ``a`` is singular.
+    Each of the ``n`` rows holds a row of the square matrix A and then its
+    right-hand sides (none for a bare determinant); over F_p the entries
+    are residues in [0, p).  Returns ``(det, ys)``: ``det`` is det A as an
+    int (a residue over F_p), and ``ys`` holds the rows of det * x for the
+    solution x of A x = rhs, or is None when det = 0.
 
     Forward elimination is Bareiss's recurrence: every entry it produces is
-    a minor of the (scaled) input, so the division by the previous pivot is
-    exact.  Over Q each row is first scaled to integers; over F_p the
-    entries are plain residues and each pivot is inverted once.  Back
-    substitution then computes the integral Cramer numerators det * x, and
-    those become field elements only at the end.
+    a minor of the input, so the division by the previous pivot is exact;
+    over F_p each pivot is inverted once instead.  Back substitution then
+    computes the integral Cramer numerators det * x.
     """
-    n = len(a)
-    if any(len(row) != n for row in a) or len(rhs) != n:
-        raise DimensionMismatch("elimination needs a square system")
     if n == 0:
-        return field.one, []
-    p = field.p
-    scale = 1
-    if p is None:
-        rows = []
-        for row, extra in zip(a, rhs):
-            full = [*row, *extra]
-            mult = lcm(*(c.denominator for c in full))
-            rows.append([c.numerator * (mult // c.denominator) for c in full])
-            scale *= mult
-    else:
-        rows = [[field.element(c).residue for c in (*row, *extra)] for row, extra in zip(a, rhs)]
+        return 1, []
     sign = 1
     prev = 1  # previous pivot over Q, its inverse over F_p
     inverses = []
@@ -102,7 +91,7 @@ def _eliminate(a: Matrix, rhs: Matrix, field: FieldSpec):
             if rows[r][k]:
                 break
         else:
-            return field.zero, None
+            return 0, None
         if r != k:
             rows[k], rows[r] = rows[r], rows[k]
             sign = -sign
@@ -120,38 +109,77 @@ def _eliminate(a: Matrix, rhs: Matrix, field: FieldSpec):
         else:
             prev = pow(piv, -1, p)
             inverses.append(prev)
-    det = rows[-1][n - 1]
+    det = sign * rows[-1][n - 1]
+    if p is not None:
+        det %= p
     ys = [None] * n
     for i in range(n - 1, -1, -1):
         row = rows[i]
         acc = [det * b for b in row[n:]]
-        for j in range(i + 1, n):
-            c = row[j]
-            if c:
-                acc = [s - c * y for s, y in zip(acc, ys[j])]
+        if acc:
+            for j in range(i + 1, n):
+                c = row[j]
+                if c:
+                    acc = [s - c * y for s, y in zip(acc, ys[j])]
         if p is None:
             ys[i] = [s // row[i] for s in acc]
         else:
             ys[i] = [s * inverses[i] % p for s in acc]
+    return det, ys
+
+
+def _integer_rows(a: Matrix, rhs: Matrix, field: FieldSpec) -> tuple:
+    """The rows of ``[a | rhs]`` as ints for :func:`_eliminate`, and their scale.
+
+    Over Q each row is multiplied by the lcm of its denominators and the
+    scale is the product of those multipliers, so det a = det / scale.
+    Over F_p the entries become residues and the scale is 1.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a) or len(rhs) != n:
+        raise DimensionMismatch("elimination needs a square system")
+    if field.p is not None:
+        return [[field.element(c).residue for c in (*row, *extra)] for row, extra in zip(a, rhs)], 1
+    rows = []
+    scale = 1
+    for row, extra in zip(a, rhs):
+        full = [*row, *extra]
+        mult = lcm(*(c.denominator for c in full))
+        rows.append([c.numerator * (mult // c.denominator) for c in full])
+        scale *= mult
+    return rows, scale
+
+
+def _quotients(nums: Sequence[int], den: int, field: FieldSpec) -> list:
+    """The field elements v / den for the ints v in ``nums``; den != 0 in the field."""
+    p = field.p
     if p is None:
-        return Fraction(sign * det, scale), [[Fraction(y, det) for y in yrow] for yrow in ys]
-    return Fp(sign * det, p), [[Fp(y * inverses[-1], p) for y in yrow] for yrow in ys]
+        return [Fraction(v, den) for v in nums]
+    inv = pow(den, -1, p)
+    return [Fp(v * inv, p) for v in nums]
+
+
+def _solve(a: Matrix, rhs: Matrix, field: FieldSpec) -> Optional[Matrix]:
+    rows, _ = _integer_rows(a, rhs, field)
+    det, ys = _eliminate(rows, len(rows), field.p)
+    return None if ys is None else [_quotients(y, det, field) for y in ys]
 
 
 def determinant(rows: Matrix, field: FieldSpec) -> FieldElement:
     """Exact determinant of a square matrix over ``field``."""
-    return _eliminate(rows, [[] for _ in rows], field)[0]
+    m, scale = _integer_rows(rows, [[] for _ in rows], field)
+    return _quotients([_eliminate(m, len(m), field.p)[0]], scale, field)[0]
 
 
 def solve_dense(a: Matrix, b: Sequence[FieldElement], field: FieldSpec) -> Optional[list]:
     """Solve ``a x = b`` exactly; None when ``a`` is singular."""
-    x = _eliminate(a, [[v] for v in b], field)[1]
+    x = _solve(a, [[v] for v in b], field)
     return None if x is None else [row[0] for row in x]
 
 
 def invert_matrix(a: Matrix, field: FieldSpec) -> Optional[Matrix]:
     """Exact inverse of a square matrix; None when singular."""
-    return _eliminate(a, identity_matrix(len(a), field), field)[1]
+    return _solve(a, identity_matrix(len(a), field), field)
 
 
 # -- sparse reduction ----------------------------------------------------
@@ -230,13 +258,7 @@ def _sparse_rref(rows: list, field: FieldSpec, rhs: Optional[list] = None):
     return pivot_rows, pivot_rhs, inconsistent
 
 
-def kernel_basis(rows: list, ncols: int, field: FieldSpec) -> list:
-    """Basis of the null space of a sparse homogeneous system.
-
-    Returns one dense coefficient vector per free column, in ascending
-    column order, each with a 1 in its free slot.
-    """
-    pivot_rows, _, _ = _sparse_rref(rows, field)
+def _kernel(pivot_rows: dict, ncols: int, field: FieldSpec) -> list:
     z, o = field.zero, field.one
     basis = []
     for free in range(ncols):
@@ -252,21 +274,43 @@ def kernel_basis(rows: list, ncols: int, field: FieldSpec) -> list:
     return basis
 
 
+def _particular(pivot_rows: dict, pivot_rhs: dict, inconsistent: bool, ncols: int,
+                field: FieldSpec) -> tuple:
+    nullity = ncols - len(pivot_rows)
+    if inconsistent:
+        return None, nullity, False
+    vec = [field.zero] * ncols
+    for pc in pivot_rows:
+        vec[pc] = pivot_rhs[pc]
+    return vec, nullity, True
+
+
+def kernel_basis(rows: list, ncols: int, field: FieldSpec) -> list:
+    """Basis of the null space of a sparse homogeneous system.
+
+    Returns one dense coefficient vector per free column, in ascending
+    column order, each with a 1 in its free slot.
+    """
+    return _kernel(_sparse_rref(rows, field)[0], ncols, field)
+
+
 def affine_solve(rows: list, rhs: list, ncols: int, field: FieldSpec):
     """Solve a sparse inhomogeneous system ``A x = b``.
 
     Returns ``(solution, nullity, consistent)``; the solution (free
     variables set to 0) is None when the system is inconsistent.
     """
-    pivot_rows, pivot_rhs, inconsistent = _sparse_rref(rows, field, rhs)
-    nullity = ncols - len(pivot_rows)
-    if inconsistent:
-        return None, nullity, False
-    z = field.zero
-    vec = [z] * ncols
-    for pc in pivot_rows:
-        vec[pc] = pivot_rhs[pc]
-    return vec, nullity, True
+    return _particular(*_sparse_rref(rows, field, rhs), ncols, field)
+
+
+def affine_space(rows: list, rhs: list, ncols: int, field: FieldSpec):
+    """:func:`affine_solve` and :func:`kernel_basis` of one system, from one
+    reduction: the right-hand sides ride along and do not change the pivots.
+
+    Returns ``(solution, nullity, consistent, kernel)``.
+    """
+    reduced = _sparse_rref(rows, field, rhs)
+    return (*_particular(*reduced, ncols, field), _kernel(reduced[0], ncols, field))
 
 
 def rank_sparse(rows: list, field: FieldSpec) -> int:

@@ -10,6 +10,8 @@ how far the axioms of the canonical pairing pin it down in low dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+from math import lcm, prod
 from typing import Optional
 
 from . import caps, linalg
@@ -32,24 +34,68 @@ from .errors import (
 from .field import FieldElement
 
 
-def _translation_matrix(a: Multivector, left: bool) -> list:
-    """Matrix of y -> a * y when ``left``, else of y -> y * a.
+@lru_cache(maxsize=32)
+def _square_table(form: QuadraticForm) -> tuple:
+    """``(d, squares)`` with squares[m] = d sq(m) an int for every mask m.
 
-    Column mj is the image of e_mj.  The term ci e_mi of ``a`` sends it to
-    ±ci sq(mi & mj) e_(mi ^ mj), the sign being the reorder parity of
+    sq(m) is the product of -q_i over i in m.  Over Q, d is the product of
+    the diagonal's denominators, which clears every denominator of every
+    sq(m); over F_p, d = 1 and the squares are residues.
+    """
+    if form.field.p is not None:
+        return 1, tuple(form.square_factor(m).residue for m in range(form.dim))
+    d = prod(q.denominator for q in form.diag)
+    return d, tuple((form.square_factor(m) * d).numerator for m in range(form.dim))
+
+
+def _translation_matrix(a: Multivector, left: bool) -> tuple:
+    """Integer rows of c T and the scale c, for T the matrix of y -> a * y
+    when ``left``, else of y -> y * a (columns index the input).
+
+    Column mj of T is the image of e_mj.  The term ci e_mi of ``a`` sends it
+    to ±ci sq(mi & mj) e_(mi ^ mj), the sign being the reorder parity of
     (mi, mj) on the left and of (mj, mi) on the right.  For a fixed mj the
-    map mi -> mi ^ mj is injective, so each cell is written once.
+    map mi -> mi ^ mj is injective, so each cell is written once, as
+    ±(ci d_a)(d sq(mi & mj)) with d_a the common denominator of the
+    coefficients of ``a`` and d that of :func:`_square_table`; then
+    c = d_a d.  Over F_p the cells are residues and c = 1.
+
+    The reorder parity is additive in each argument over GF(2), so for a
+    fixed mi it is the parity of mj & w, with w the generators whose own
+    parity against mi is odd.
     """
     form = a.form
     dim = form.dim
-    sqf = form.square_factor
-    rows = [[form.field.zero] * dim for _ in range(dim)]
-    for mi, ci in a.terms():
-        neg = -ci
+    p = form.field.p
+    d, squares = _square_table(form)
+    if p is None:
+        d_a = lcm(*(c.denominator for _, c in a.terms()))
+        terms = [(m, c.numerator * (d_a // c.denominator)) for m, c in a.terms()]
+        scale, neg = d_a * d, 0
+    else:
+        terms = [(m, c.residue) for m, c in a.terms()]
+        scale, neg = 1, p
+    rows = [[0] * dim for _ in range(dim)]
+    for mi, ci in terms:
+        w = sum(
+            1 << b
+            for b in range(form.n)
+            if (reorder_parity(mi, 1 << b) if left else reorder_parity(1 << b, mi))
+        )
+        cell = [ci * s % p for s in squares] if p else [ci * s for s in squares]
         for mj in range(dim):
-            odd = reorder_parity(mi, mj) if left else reorder_parity(mj, mi)
-            rows[mi ^ mj][mj] = (neg if odd else ci) * sqf(mi & mj)
-    return rows
+            v = cell[mi & mj]
+            rows[mi ^ mj][mj] = neg - v if (mj & w).bit_count() & 1 else v
+    return rows, scale
+
+
+def _field_matrix(a: Multivector, left: bool) -> list:
+    """The translation matrix in field elements: c T divided by c, each
+    distinct cell value converted once."""
+    rows, scale = _translation_matrix(a, left)
+    values = list({v for row in rows for v in row})
+    cells = dict(zip(values, linalg._quotients(values, scale, a.form.field)))
+    return [[cells[v] for v in row] for row in rows]
 
 
 def left_matrix(a: Multivector) -> list:
@@ -57,7 +103,7 @@ def left_matrix(a: Multivector) -> list:
 
     Each cell is written once, as ±a_i sq(i & j) at row i xor j of column j.
     """
-    return _translation_matrix(a, True)
+    return _field_matrix(a, True)
 
 
 def right_matrix(a: Multivector) -> list:
@@ -65,16 +111,24 @@ def right_matrix(a: Multivector) -> list:
 
     Built like :func:`left_matrix`, with the sign read from e_j e_i.
     """
-    return _translation_matrix(a, False)
+    return _field_matrix(a, False)
 
 
 def translation_determinants(a: Multivector) -> tuple:
-    """Exact determinants (left, right) of the two translations by ``a``."""
-    f = a.form.field
-    return (
-        linalg.determinant(left_matrix(a), f),
-        linalg.determinant(right_matrix(a), f),
-    )
+    """Exact determinants (left, right) of the two translations by ``a``.
+
+    They are equal, so one elimination of c L_a gives both, as
+    det(c L_a) / c^dim.  The scalar part tau has tau(x y) = tau(y x) and
+    the pairing b(u, v) = tau(u v) has the nonzero diagonal Gram matrix G
+    of the blade squares; b(a u, v) = b(u, v a) then reads L_a^T G = G R_a,
+    so R_a = G^-1 L_a^T G has the determinant of L_a in every field of
+    characteristic other than 2.
+    """
+    rows, scale = _translation_matrix(a, True)
+    dim = a.form.dim
+    det = linalg._eliminate(rows, dim, a.form.field.p)[0]
+    value = linalg._quotients((det,), scale**dim, a.form.field)[0]
+    return value, value
 
 
 def is_zero_divisor(a: Multivector) -> bool:
@@ -85,7 +139,8 @@ def is_zero_divisor(a: Multivector) -> bool:
     """
     if a.is_zero():
         raise ZeroElement("zero-divisor test needs a nonzero element")
-    return not linalg.determinant(left_matrix(a), a.form.field)
+    rows, _ = _translation_matrix(a, True)
+    return not linalg._eliminate(rows, a.form.dim, a.form.field.p)[0]
 
 
 def is_invertible(a: Multivector) -> bool:
@@ -95,16 +150,20 @@ def is_invertible(a: Multivector) -> bool:
 
 
 def inverse(a: Multivector) -> Multivector:
-    """Two-sided inverse of ``a``; raises :class:`NotInvertible` otherwise."""
+    """Two-sided inverse of ``a``; raises :class:`NotInvertible` otherwise.
+
+    Solves c L_a y = c e_0 on the integer rows of c L_a.
+    """
     if a.is_zero():
         raise ZeroElement("the zero element has no inverse")
     form = a.form
-    one_vec = [form.field.zero] * form.dim
-    one_vec[0] = form.field.one
-    sol = linalg.solve_dense(left_matrix(a), one_vec, form.field)
-    if sol is None:
+    rows, scale = _translation_matrix(a, True)
+    for i, row in enumerate(rows):
+        row.append(0 if i else scale)
+    det, ys = linalg._eliminate(rows, form.dim, form.field.p)
+    if ys is None:
         raise NotInvertible("zero divisor")
-    inv = form.multivector(sol)
+    inv = form.multivector(linalg._quotients([row[0] for row in ys], det, form.field))
     if a * inv != form.one() or inv * a != form.one():
         raise InternalInconsistency("one-sided inverse failed the two-sided check")
     return inv
@@ -117,10 +176,8 @@ def pairing_adjoint(rows: list, form: QuadraticForm) -> list:
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise DimensionMismatch("adjoint needs a dim x dim matrix")
     f = form.field
-    return [
-        [f.inv(gram[a]) * rows[b][a] * gram[b] for b in range(dim)]
-        for a in range(dim)
-    ]
+    inv = [f.inv(g) for g in gram]
+    return [[inv[a] * rows[b][a] * gram[b] for b in range(dim)] for a in range(dim)]
 
 
 # -- equivalence of forms ------------------------------------------------
@@ -332,7 +389,7 @@ def pairing_uniqueness_report(
                     rows.append({k: v for k, v in row2.items() if v})
                     rhs.append(f.zero)
 
-    solution, nullity, consistent = linalg.affine_solve(rows, rhs, unknowns, f)
+    solution, nullity, consistent, kernel_vecs = linalg.affine_space(rows, rhs, unknowns, f)
     rank = unknowns - nullity
     unique = consistent and nullity == 0
 
@@ -352,7 +409,7 @@ def pairing_uniqueness_report(
             for b in range(dim)
         )
 
-    kernel = tuple(unpack(tuple(vec)) for vec in linalg.kernel_basis(rows, unknowns, f))
+    kernel = tuple(unpack(tuple(vec)) for vec in kernel_vecs)
 
     twist = None
     if nullity == 1 and kernel:

@@ -424,11 +424,9 @@ def isometry_evidence(g: Multivector) -> IsometryEvidence:
     """Unit condition plus (capped) exact Gram preservation of translations.
 
     For an isometry, both translations preserve the canonical pairing's
-    Gram matrix; the matrix check costs dim^3 and is skipped (None) above
+    Gram matrix; the matrix check is skipped (None) above
     ``caps.ISOMETRY_GRAM``.
     """
-    from .operators import left_matrix, right_matrix
-
     if g.is_zero():
         raise ZeroElement("the zero element cannot be an isometry")
     form = g.form
@@ -439,9 +437,8 @@ def isometry_evidence(g: Multivector) -> IsometryEvidence:
 
     left_gram = right_gram = None
     if form.n <= caps.ISOMETRY_GRAM:
-        gram = form.gram_diagonal()
-        left_gram = _preserves_gram(left_matrix(g), gram, form)
-        right_gram = _preserves_gram(right_matrix(g), gram, form)
+        left_gram = _preserves_gram(g, True)
+        right_gram = _preserves_gram(g, False)
 
     isometry = left_unit and right_unit
     consistent = True
@@ -450,18 +447,36 @@ def isometry_evidence(g: Multivector) -> IsometryEvidence:
     return IsometryEvidence(isometry, left_unit, right_unit, left_gram, right_gram, consistent)
 
 
-def _preserves_gram(rows: list, gram: tuple, form: QuadraticForm) -> bool:
-    """Exact check that transpose(M) G M = G for diagonal G."""
-    dim = form.dim
-    f = form.field
-    for a in range(dim):
-        col_a = [rows[i][a] for i in range(dim)]
-        for b in range(a, dim):
-            acc = f.zero
-            for i in range(dim):
-                if col_a[i] and rows[i][b]:
-                    acc = acc + col_a[i] * gram[i] * rows[i][b]
-            want = gram[a] if a == b else f.zero
-            if acc != want:
-                return False
+def _preserves_gram(g: Multivector, left: bool) -> bool:
+    """Exact check that transpose(M) G M = G, for M the left (or right)
+    translation by ``g`` and G the diagonal Gram matrix of the pairing.
+
+    It reads the integer rows c M of ``operators._translation_matrix`` and
+    d G, from the blade squares d sq(m) = (-1)^|m| d G[m] of the same
+    square table, so the test is sum_i cM[i][a] dG[i] cM[i][b] = c^2 dG[a]
+    when b = a and 0 otherwise.  Column a of M is nonzero only at the rows
+    m ^ a and row i only at the columns i ^ m, for m in the support of g,
+    so a column costs t^2 for t terms.  The columns are checked in order
+    and the first mismatch returns.
+    """
+    from .operators import _square_table, _translation_matrix
+
+    form = g.form
+    p = form.field.p
+    rows, c = _translation_matrix(g, left)
+    _, squares = _square_table(form)
+    gram = [-s if m.bit_count() & 1 else s for m, s in enumerate(squares)]
+    support = g.support()
+    for a in range(form.dim):
+        acc = {}
+        for mi in support:
+            i = mi ^ a
+            row = rows[i]
+            x = row[a] * gram[i]
+            for mk in support:
+                b = i ^ mk
+                acc[b] = acc.get(b, 0) + x * row[b]
+        acc[a] -= c * c * gram[a]
+        if any(v % p if p else v for v in acc.values()):
+            return False
     return True

@@ -1,14 +1,18 @@
 """Command line surface: examples, exit codes, schemas, determinism."""
 import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import cliffex
 from cliffex import caps
 from cliffex.cli import OPERATION_COMMAND, build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -82,12 +86,17 @@ def test_usage_errors_exit_two():
         assert info.value.code == 2
 
 
+def run_module(argv, **kwargs):
+    """Run ``python -m cliffex.cli`` with this checkout's src first on
+    PYTHONPATH, where pytest's ``pythonpath`` setting finds the package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cliffex.cli", *argv],
+                          capture_output=True, env=env, **kwargs)
+
+
 def test_console_script_runs_as_module():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cliffex.cli", "product", "--form", "sig:2,1", "e13", "e3"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["product", "--form", "sig:2,1", "e13", "e3"], text=True)
     assert proc.returncode == 0
     assert proc.stdout == "e1\n"
 
@@ -192,22 +201,9 @@ def test_isometry_command(capsys):
 # -- determinism ---------------------------------------------------------
 
 def test_identical_invocations_are_byte_identical():
-    argv = [
-        sys.executable,
-        "-m",
-        "cliffex.cli",
-        "check",
-        "--form",
-        "diag:2,3",
-        "--field",
-        "fp:11",
-        "--seed",
-        "5",
-        "--format",
-        "json",
-    ]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    argv = ["check", "--form", "diag:2,3", "--field", "fp:11", "--seed", "5", "--format", "json"]
+    first = run_module(argv)
+    second = run_module(argv)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 

@@ -362,3 +362,5 @@ def test_sparse_routines_against_dense_elimination(field, data):
         assert [_row_value(row, sol, field) for row in rows] == rhs
     else:
         assert sol is None
+    # One reduction gives the same solution and kernel as the two routes.
+    assert linalg.affine_space(rows, rhs, ncols, field) == (sol, nullity, consistent, kernel)

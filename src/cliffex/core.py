@@ -18,6 +18,7 @@ field named by the form's :class:`~cliffex.field.FieldSpec`.
 from __future__ import annotations
 
 import re
+from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import caps
@@ -104,7 +105,7 @@ class QuadraticForm:
     a per-form cache of the products of -q_i over index subsets.
     """
 
-    __slots__ = ("n", "diag", "field", "_sqf_cache", "_gram", "_neg_diag")
+    __slots__ = ("n", "diag", "field", "_sqf_cache", "_gram", "_neg_diag", "_squares")
 
     def __init__(self, diag: Sequence, field: Optional[FieldSpec] = None):
         if field is None:
@@ -123,6 +124,7 @@ class QuadraticForm:
         self._neg_diag = tuple(-q for q in entries)
         self._sqf_cache = {0: field.one}
         self._gram: Optional[tuple] = None
+        self._squares: Optional[tuple] = None
 
     # -- construction ----------------------------------------------------
 
@@ -205,6 +207,25 @@ class QuadraticForm:
         if reorder_parity(a, b):
             coef = -coef
         return BladeProduct(coef, a ^ b)
+
+    def square_table(self) -> tuple:
+        """``(d, squares)`` with squares[m] = d sq(m) an int for every mask m,
+        sq(m) the product of -q_i over i in m, filled once per form.  Over Q,
+        d is the product of the diagonal's denominators; over F_p, d = 1 and
+        the squares are residues."""
+        if self._squares is None:
+            p = self.field.p
+            squares = [1]
+            for q in self._neg_diag:
+                if p is None:
+                    num, den = q.numerator, q.denominator
+                    squares = [s * den for s in squares] + [s * num for s in squares]
+                else:
+                    num = q.residue
+                    squares += [s * num % p for s in squares]
+            d = 1 if p is not None else prod(q.denominator for q in self.diag)
+            self._squares = (d, tuple(squares))
+        return self._squares
 
     def blade_square(self, mask: int) -> FieldElement:
         """The scalar e_I * e_I."""

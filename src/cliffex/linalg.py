@@ -1,22 +1,19 @@
 """Exact linear algebra over a :class:`~cliffex.field.FieldSpec`.
 
-Dense routines (determinant, solve, inverse) work on lists of lists of
-field elements and share one fraction-free Bareiss core, ``_eliminate``.
-It runs on plain ints, integers over the rationals and residues over F_p,
-and yields the determinant and the solution together.  The public
-routines reach it through one boundary step, ``_integer_rows``, that
-scales each row of field elements to ints; callers that already hold
-integer rows (the translation operators) pass them straight in.
-
-Sparse routines work on rows stored as ``{column: value}`` dicts.  The
-linear systems built downstream (centralizer conditions, bilinear-form
-axioms) have one or two nonzeros per row, so the sparse reduction never
-fills in and handles thousands of columns comfortably.
+Both engines eliminate on integer rows, integers over the rationals and
+residues over F_p, behind one boundary: rows of field elements are scaled
+to ints (``_integer_rows``, ``_integer_system``) and field elements are
+built only from the results (``_quotients``).  Callers that hold integer
+rows (translation operators, centralizer and pairing-axiom systems) pass
+them straight in.  The dense core, ``_eliminate``, is Bareiss's
+fraction-free recurrence and serves determinants, solves and inverses.
+The sparse core, ``_sparse_rref``, reduces ``{column: int}`` rows with one
+or two entries each and is reached through :func:`affine_space`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -128,24 +125,29 @@ def _eliminate(rows: list, n: int, p: Optional[int]) -> tuple:
     return det, ys
 
 
-def _integer_rows(a: Matrix, rhs: Matrix, field: FieldSpec) -> tuple:
-    """The rows of ``[a | rhs]`` as ints for :func:`_eliminate`, and their scale.
+def _scaled_row(values: Sequence, field: FieldSpec) -> tuple:
+    """``(ints, mult)``: the field elements ``values`` times ``mult`` as ints.
 
-    Over Q each row is multiplied by the lcm of its denominators and the
-    scale is the product of those multipliers, so det a = det / scale.
-    Over F_p the entries become residues and the scale is 1.
+    Over Q (ints or fractions), mult is the lcm of the denominators; over
+    F_p the ints are the residues and mult is 1.
     """
+    if field.p is not None:
+        return [field.element(v).residue for v in values], 1
+    mult = lcm(*(v.denominator for v in values))
+    return [v.numerator * (mult // v.denominator) for v in values], mult
+
+
+def _integer_rows(a: Matrix, rhs: Matrix, field: FieldSpec) -> tuple:
+    """The rows of ``[a | rhs]`` as ints for :func:`_eliminate`, and their
+    scale, the product of the row multipliers, so det a = det / scale."""
     n = len(a)
     if any(len(row) != n for row in a) or len(rhs) != n:
         raise DimensionMismatch("elimination needs a square system")
-    if field.p is not None:
-        return [[field.element(c).residue for c in (*row, *extra)] for row, extra in zip(a, rhs)], 1
     rows = []
     scale = 1
     for row, extra in zip(a, rhs):
-        full = [*row, *extra]
-        mult = lcm(*(c.denominator for c in full))
-        rows.append([c.numerator * (mult // c.denominator) for c in full])
+        ints, mult = _scaled_row([*row, *extra], field)
+        rows.append(ints)
         scale *= mult
     return rows, scale
 
@@ -185,17 +187,66 @@ def invert_matrix(a: Matrix, field: FieldSpec) -> Optional[Matrix]:
 # -- sparse reduction ----------------------------------------------------
 
 
-def _sparse_rref(rows: list, field: FieldSpec, rhs: Optional[list] = None):
-    """Reduce sparse rows to reduced row echelon form.
+def _integer_system(rows: list, rhs: Sequence, field: FieldSpec) -> tuple:
+    """Sparse rows ``{col: field element}`` and their right-hand sides as
+    int rows and ints for :func:`_sparse_rref`, each row scaled with its
+    right-hand side as in :func:`_scaled_row`; no solution changes."""
+    int_rows, int_rhs = [], []
+    for row, b in zip(rows, rhs):
+        ints, _ = _scaled_row([b, *row.values()], field)
+        int_rhs.append(ints[0])
+        int_rows.append(dict(zip(row, ints[1:])))
+    return int_rows, int_rhs
 
-    ``rows`` is a list of ``{col: value}`` dicts; ``rhs`` an optional list
-    of right-hand sides carried through the elimination.  Returns
-    ``(pivot_rows, pivot_rhs, inconsistent)`` where ``pivot_rows`` maps a
-    pivot column to its fully reduced row (pivot entry 1) and
-    ``inconsistent`` flags a 0 = nonzero row.
+
+def _cancel(row: dict, r: int, col: int, other: dict, other_r: int, p: Optional[int]) -> int:
+    """Clear ``col`` from the row in place, as a row - f other with f / a =
+    row[col] / other[col] in lowest terms, dropping the entries that vanish
+    (mod p over F_p); returns the right-hand side a r - f other_r."""
+    f, a = row[col], other[col]
+    g = gcd(f, a)
+    f, a = f // g, a // g
+    for c in row:
+        row[c] *= a
+    for c, v in other.items():
+        nv = row.get(c, 0) - f * v
+        if p:
+            nv %= p
+        if nv:
+            row[c] = nv
+        else:
+            row.pop(c, None)
+    r = a * r - f * other_r
+    return r % p if p else r
+
+
+def _normalise(row: dict, r: int, lead: int, p: Optional[int]) -> int:
+    """Scale the row in place to lead 1 over F_p, or to content 1 (the gcd
+    of its entries and r) and a positive lead over Q; returns r scaled alike."""
+    if p:
+        g = pow(row[lead], -1, p)
+        for c in row:
+            row[c] = row[c] * g % p
+        return r * g % p
+    g = gcd(r, *row.values()) if row[lead] > 0 else -gcd(r, *row.values())
+    for c in row:
+        row[c] //= g
+    return r // g
+
+
+def _sparse_rref(rows: list, p: Optional[int], rhs: Optional[list] = None) -> tuple:
+    """Reduce integer sparse rows to reduced row echelon form.
+
+    ``rows`` is a list of ``{col: int}`` dicts and ``rhs`` an optional list
+    of int right-hand sides (zeros when None) carried through the
+    elimination; ``p`` is the prime of F_p, or None over Q.  Returns
+    ``(pivot_rows, pivot_rhs, inconsistent)``: ``pivot_rows`` maps each
+    pivot column to its row, which holds no other pivot column, and
+    ``inconsistent`` flags a 0 = nonzero row.  The elimination is
+    fraction-free, see :func:`_cancel` and :func:`_normalise`.
 
     Rows are taken in order.  Each is reduced against the stored pivot
-    rows, normalised at its lowest column, and that column is then cleared
+    rows, takes its lowest column as pivot, and that column is then cleared
     from the stored rows that hold it.  Those rows are found through an
     index from each non-pivot column to the pivot columns whose rows hold
     it, so a new pivot costs the rows it touches, not a sweep of them all.
@@ -204,57 +255,36 @@ def _sparse_rref(rows: list, field: FieldSpec, rhs: Optional[list] = None):
     pivot_rhs: dict = {}
     holders: dict = {}  # non-pivot column -> pivot columns whose rows hold it
     inconsistent = False
-    use_rhs = rhs is not None
-    zero = field.zero
     for idx, raw in enumerate(rows):
+        r = 0 if rhs is None else rhs[idx]
+        if p:
+            raw = {c: v % p for c, v in raw.items()}
+            r %= p
         row = {c: v for c, v in raw.items() if v}
-        r = field.element(rhs[idx]) if use_rhs else None
         # Stored rows are fully reduced, so subtracting one brings in no
         # other pivot column: every pivot column of the row goes in one pass.
         for c0 in sorted(row.keys() & pivot_rows.keys()):
-            f = row.pop(c0)
-            for c, v in pivot_rows[c0].items():
-                if c == c0:
-                    continue
-                nv = row.get(c, zero) - f * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-            if use_rhs:
-                r = r - f * pivot_rhs[c0]
+            r = _cancel(row, r, c0, pivot_rows[c0], pivot_rhs[c0], p)
         if not row:
-            if use_rhs and r:
-                inconsistent = True
+            inconsistent = inconsistent or bool(r)
             continue
         lead = min(row)
-        inv = field.inv(row[lead])
-        row = {c: v * inv for c, v in row.items()}
-        if use_rhs:
-            r = r * inv
+        r = _normalise(row, r, lead, p)
         # Knock the new pivot column out of the stored rows that hold it.
         for pc in holders.pop(lead, ()):
             prow = pivot_rows[pc]
-            f = prow.pop(lead)
-            for c, v in row.items():
-                if c == lead:
-                    continue
-                nv = prow.get(c, zero) - f * v
-                if nv:
-                    if c not in prow:
-                        holders.setdefault(c, set()).add(pc)
-                    prow[c] = nv
-                elif c in prow:
-                    del prow[c]
-                    holders[c].discard(pc)
-            if use_rhs:
-                pivot_rhs[pc] = pivot_rhs[pc] - f * r
+            before = prow.keys() - {lead}
+            pr = _cancel(prow, pivot_rhs[pc], lead, row, r, p)
+            pivot_rhs[pc] = _normalise(prow, pr, pc, p)
+            for c in prow.keys() - before:
+                holders.setdefault(c, set()).add(pc)
+            for c in before - prow.keys():
+                holders[c].discard(pc)
         for c in row:
             if c != lead:
                 holders.setdefault(c, set()).add(lead)
         pivot_rows[lead] = row
-        if use_rhs:
-            pivot_rhs[lead] = r
+        pivot_rhs[lead] = r
     return pivot_rows, pivot_rhs, inconsistent
 
 
@@ -269,7 +299,7 @@ def _kernel(pivot_rows: dict, ncols: int, field: FieldSpec) -> list:
         for pc, prow in pivot_rows.items():
             coef = prow.get(free)
             if coef:
-                vec[pc] = -coef
+                vec[pc] = _quotients((-coef,), prow[pc], field)[0]
         basis.append(vec)
     return basis
 
@@ -280,42 +310,26 @@ def _particular(pivot_rows: dict, pivot_rhs: dict, inconsistent: bool, ncols: in
     if inconsistent:
         return None, nullity, False
     vec = [field.zero] * ncols
-    for pc in pivot_rows:
-        vec[pc] = pivot_rhs[pc]
+    for pc, prow in pivot_rows.items():
+        vec[pc] = _quotients((pivot_rhs[pc],), prow[pc], field)[0]
     return vec, nullity, True
 
 
-def kernel_basis(rows: list, ncols: int, field: FieldSpec) -> list:
-    """Basis of the null space of a sparse homogeneous system.
+def affine_space(rows: list, rhs: Optional[list], ncols: int, field: FieldSpec) -> tuple:
+    """Solve the sparse system ``A x = b`` in ``ncols`` unknowns over ``field``.
 
-    Returns one dense coefficient vector per free column, in ascending
-    column order, each with a 1 in its free slot.
+    ``rows`` are integer rows ``{col: int}`` and ``rhs`` their int
+    right-hand sides, or None for a homogeneous system; rows of field
+    elements go through :func:`_integer_system` first.  Returns
+    ``(solution, nullity, consistent, kernel)`` from one reduction: the
+    solution (free unknowns 0) is None when the system is inconsistent,
+    and the kernel holds one dense vector per free column, in ascending
+    column order, with a 1 in its free slot.  The right-hand sides ride
+    along and do not change the pivots, so the kernel does not depend on
+    them.
     """
-    return _kernel(_sparse_rref(rows, field)[0], ncols, field)
-
-
-def affine_solve(rows: list, rhs: list, ncols: int, field: FieldSpec):
-    """Solve a sparse inhomogeneous system ``A x = b``.
-
-    Returns ``(solution, nullity, consistent)``; the solution (free
-    variables set to 0) is None when the system is inconsistent.
-    """
-    return _particular(*_sparse_rref(rows, field, rhs), ncols, field)
-
-
-def affine_space(rows: list, rhs: list, ncols: int, field: FieldSpec):
-    """:func:`affine_solve` and :func:`kernel_basis` of one system, from one
-    reduction: the right-hand sides ride along and do not change the pivots.
-
-    Returns ``(solution, nullity, consistent, kernel)``.
-    """
-    reduced = _sparse_rref(rows, field, rhs)
+    reduced = _sparse_rref(rows, field.p, rhs)
     return (*_particular(*reduced, ncols, field), _kernel(reduced[0], ncols, field))
-
-
-def rank_sparse(rows: list, field: FieldSpec) -> int:
-    pivot_rows, _, _ = _sparse_rref(rows, field)
-    return len(pivot_rows)
 
 
 def in_span(vectors: list, target: Sequence[FieldElement], field: FieldSpec) -> bool:
@@ -324,16 +338,6 @@ def in_span(vectors: list, target: Sequence[FieldElement], field: FieldSpec) -> 
     Treats each vector as a column of a (dense coordinates, sparse storage)
     system and solves for the combination exactly.
     """
-    if not any(target):
-        return True
-    if not vectors:
-        return False
-    length = len(target)
-    rows = []
-    rhs = []
-    for i in range(length):
-        row = {j: vec[i] for j, vec in enumerate(vectors) if vec[i]}
-        rows.append(row)
-        rhs.append(target[i])
-    _, _, inconsistent = _sparse_rref(rows, field, rhs)
-    return not inconsistent
+    rows = [{j: vec[i] for j, vec in enumerate(vectors) if vec[i]} for i in range(len(target))]
+    int_rows, rhs = _integer_system(rows, target, field)
+    return not _sparse_rref(int_rows, field.p, rhs)[2]

@@ -10,8 +10,7 @@ how far the axioms of the canonical pairing pin it down in low dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 from typing import Optional
 
 from . import caps, linalg
@@ -34,20 +33,6 @@ from .errors import (
 from .field import FieldElement
 
 
-@lru_cache(maxsize=32)
-def _square_table(form: QuadraticForm) -> tuple:
-    """``(d, squares)`` with squares[m] = d sq(m) an int for every mask m.
-
-    sq(m) is the product of -q_i over i in m.  Over Q, d is the product of
-    the diagonal's denominators, which clears every denominator of every
-    sq(m); over F_p, d = 1 and the squares are residues.
-    """
-    if form.field.p is not None:
-        return 1, tuple(form.square_factor(m).residue for m in range(form.dim))
-    d = prod(q.denominator for q in form.diag)
-    return d, tuple((form.square_factor(m) * d).numerator for m in range(form.dim))
-
-
 def _translation_matrix(a: Multivector, left: bool) -> tuple:
     """Integer rows of c T and the scale c, for T the matrix of y -> a * y
     when ``left``, else of y -> y * a (columns index the input).
@@ -57,7 +42,7 @@ def _translation_matrix(a: Multivector, left: bool) -> tuple:
     (mi, mj) on the left and of (mj, mi) on the right.  For a fixed mj the
     map mi -> mi ^ mj is injective, so each cell is written once, as
     ±(ci d_a)(d sq(mi & mj)) with d_a the common denominator of the
-    coefficients of ``a`` and d that of :func:`_square_table`; then
+    coefficients of ``a`` and d that of the form's square table; then
     c = d_a d.  Over F_p the cells are residues and c = 1.
 
     The reorder parity is additive in each argument over GF(2), so for a
@@ -67,7 +52,7 @@ def _translation_matrix(a: Multivector, left: bool) -> tuple:
     form = a.form
     dim = form.dim
     p = form.field.p
-    d, squares = _square_table(form)
+    d, squares = form.square_table()
     if p is None:
         d_a = lcm(*(c.denominator for _, c in a.terms()))
         terms = [(m, c.numerator * (d_a // c.denominator)) for m, c in a.terms()]
@@ -343,16 +328,13 @@ def pairing_uniqueness_report(
         return a * dim - a * (a - 1) // 2 + (b - a)
 
     unknowns = dim * (dim + 1) // 2
-    rows: list = []
-    rhs: list = []
-
-    rows.append({unknown(0, 0): f.one})
-    rhs.append(f.one)
-
-    for i in range(form.n):
-        for j in range(i, form.n):
-            rows.append({unknown(1 << i, 1 << j): f.one})
-            rhs.append(form.diag[i] if i == j else f.zero)
+    # B(1, 1) = 1 and B on grade one is the form, as integer rows.
+    grade_one = [(i, j) for i in range(form.n) for j in range(i, form.n)]
+    rows, rhs = linalg._integer_system(
+        [{unknown(0, 0): 1}] + [{unknown(1 << i, 1 << j): 1} for i, j in grade_one],
+        [1] + [form.diag[i] if i == j else 0 for i, j in grade_one],
+        f,
+    )
 
     if require_parity_invariance:
         # B(alpha(e_a), alpha(e_b)) = B(e_a, e_b) forces the entry to zero
@@ -360,78 +342,55 @@ def pairing_uniqueness_report(
         for a in range(dim):
             for b in range(a, dim):
                 if involute_sign(a) * involute_sign(b) < 0:
-                    rows.append({unknown(a, b): f.one})
-                    rhs.append(f.zero)
+                    rows.append({unknown(a, b): 1})
+                    rhs.append(0)
 
-    csign = [conjugate_sign(m) for m in range(dim)]
+    # e_a e_b = (prods[a][b] / d) e_(a ^ b), as ints from the square table.
+    _, squares = form.square_table()
+    prods = [
+        [-squares[a & b] if reorder_parity(a, b) else squares[a & b] for b in range(dim)]
+        for a in range(dim)
+    ]
+
+    def law(lam: int, key: int, mu: int, key2: int) -> None:
+        # The row lam x_key - mu x_key2 = 0, dropped when it reads 0 = 0.
+        row = {key: lam, key2: -mu} if key != key2 else {key: lam - mu}
+        if any(v % f.p if f.p else v for v in row.values()):
+            rows.append(row)
+            rhs.append(0)
+
     for a in range(dim):
+        csign = conjugate_sign(a)
         for b in range(dim):
-            lam, m_ab = form.blade_product(a, b)
             for c in range(dim):
-                mu, m_ac = form.blade_product(a, c)
-                if csign[a] < 0:
-                    mu = -mu
-                row: dict = {unknown(m_ab, c): lam}
-                key = unknown(b, m_ac)
-                row[key] = row.get(key, f.zero) - mu
-                if any(row.values()):
-                    rows.append({k: v for k, v in row.items() if v})
-                    rhs.append(f.zero)
+                # Left-translation law: B(x y, z) = B(y, c(x) z).
+                law(prods[a][b], unknown(a ^ b, c), csign * prods[a][c], unknown(b, a ^ c))
                 # Right-translation law: B(y x, z) = B(y, z c(x)).
-                lam2, m_ba = form.blade_product(b, a)
-                mu2, m_ca = form.blade_product(c, a)
-                if csign[a] < 0:
-                    mu2 = -mu2
-                row2: dict = {unknown(m_ba, c): lam2}
-                key2 = unknown(b, m_ca)
-                row2[key2] = row2.get(key2, f.zero) - mu2
-                if any(row2.values()):
-                    rows.append({k: v for k, v in row2.items() if v})
-                    rhs.append(f.zero)
+                law(prods[b][a], unknown(b ^ a, c), csign * prods[c][a], unknown(b, c ^ a))
 
     solution, nullity, consistent, kernel_vecs = linalg.affine_space(rows, rhs, unknowns, f)
     rank = unknowns - nullity
     unique = consistent and nullity == 0
 
-    def unpack(vec: tuple) -> tuple:
-        return tuple(
-            tuple(vec[unknown(a, b)] for b in range(dim)) for a in range(dim)
-        )
+    def unpack(vec: list) -> tuple:
+        return tuple(tuple(vec[unknown(a, b)] for b in range(dim)) for a in range(dim))
 
     basis = [form.basis_blade(m) for m in range(dim)]
-    matches = False
-    matrix = None
-    if solution is not None:
-        matrix = unpack(solution)
-        matches = all(
-            matrix[a][b] == basis[a].pair(basis[b])
-            for a in range(dim)
-            for b in range(dim)
-        )
-
-    kernel = tuple(unpack(tuple(vec)) for vec in kernel_vecs)
+    matrix = None if solution is None else unpack(solution)
+    matches = matrix is not None and all(
+        matrix[a][b] == basis[a].pair(basis[b]) for a in range(dim) for b in range(dim)
+    )
+    kernel = tuple(unpack(vec) for vec in kernel_vecs)
 
     twist = None
-    if nullity == 1 and kernel:
+    if nullity == 1:
+        # Proportional to B(x, omega y): the same support and one ratio.
         omega = form.volume_element()
-        twist_matrix = [
-            [basis[a].pair(omega * basis[b]) for b in range(dim)] for a in range(dim)
-        ]
-        gen = kernel[0]
-        # Proportionality: find a nonzero anchor entry and compare ratios.
-        ratio = None
-        twist = True
-        for a in range(dim):
-            for b in range(dim):
-                lhs, rhs_val = gen[a][b], twist_matrix[a][b]
-                if (lhs == f.zero) != (rhs_val == f.zero):
-                    twist = False
-                elif lhs != f.zero and ratio is None:
-                    ratio = f.div(lhs, rhs_val)
-                elif lhs != f.zero and lhs != f.mul(ratio, rhs_val):
-                    twist = False
-        if ratio is None:
-            twist = False
+        gen = [v for row in kernel[0] for v in row]
+        tw = [basis[a].pair(omega * basis[b]) for a in range(dim) for b in range(dim)]
+        i = next(i for i, v in enumerate(gen) if v)
+        ratio = f.div(gen[i], tw[i]) if tw[i] else None
+        twist = ratio is not None and all(g == ratio * t for g, t in zip(gen, tw))
 
     return UniquenessReport(
         n=form.n,

@@ -28,6 +28,8 @@ from .core import (
     QuadraticForm,
     anticommute_parity,
     format_blade,
+    reorder_parity,
+    reverse_sign,
 )
 from .errors import (
     NotDefiniteForm,
@@ -83,21 +85,19 @@ def _centralizer_kernel(form: QuadraticForm, masks: Sequence[int]) -> list:
     so the kernel of these equations is the centralizer of the whole
     algebra intersected with the span.
     """
-    f = form.field
+    _, squares = form.square_table()
     rows = []
     for k in range(form.n):
         gen_mask = 1 << k
         # e_m g - g e_m is 2 e_m g when they anticommute, else 0; distinct m
-        # give distinct m xor g, so each equation has the one entry.
+        # give distinct m xor g, so each equation has the one entry, d times
+        # 2 e_m g as an int from the square table.
         for col, m in enumerate(masks):
             if anticommute_parity(m, gen_mask):
-                coef = form.blade_product(m, gen_mask).coef
-                rows.append({col: coef + coef})
-    kernel = linalg.kernel_basis(rows, len(masks), f)
-    out = []
-    for vec in kernel:
-        out.append(form.multivector({m: vec[i] for i, m in enumerate(masks) if vec[i]}))
-    return out
+                s = 2 * squares[m & gen_mask]
+                rows.append({col: -s if reorder_parity(m, gen_mask) else s})
+    kernel = linalg.affine_space(rows, None, len(masks), form.field)[3]
+    return [form.multivector({m: vec[i] for i, m in enumerate(masks) if vec[i]}) for vec in kernel]
 
 
 def center(form: QuadraticForm, method: str = "closed_form") -> CenterDescription:
@@ -168,6 +168,26 @@ def killing_count(form: QuadraticForm, mask: int) -> int:
     return _anticommuting_count(form.n, mask.bit_count())
 
 
+def _killing_entries(form: QuadraticForm, masks: Sequence[int]) -> list:
+    """``(m, s, 4 m s)`` for each Lie blade in ``masks``: the anticommuting
+    count, the blade square s = e_I e_I, read from the form's square table
+    as (-1)^(k(k-1)/2) sq(I) at grade k, and the Killing entry.  Each
+    distinct pair (m, d s) becomes field elements once."""
+    d, squares = form.square_table()
+    f = form.field
+    seen: dict = {}
+    out = []
+    for mask in masks:
+        m = killing_count(form, mask)
+        s = squares[mask] * reverse_sign(mask)
+        entry = seen.get((m, s))
+        if entry is None:
+            sq = linalg._quotients((s,), d, f)[0]
+            entry = seen[m, s] = (m, sq, f.element(4 * m) * sq)
+        out.append(entry)
+    return out
+
+
 def killing_entry(form: QuadraticForm, a: int, b: int) -> FieldElement:
     """Killing form of two basis blades of the Lie algebra.
 
@@ -178,9 +198,7 @@ def killing_entry(form: QuadraticForm, a: int, b: int) -> FieldElement:
         raise NotInLieAlgebra("Killing form is defined on Lie-algebra blades")
     if a != b:
         return form.field.zero
-    m = killing_count(form, a)
-    four = form.field.element(4)
-    return four * form.field.element(m) * form.blade_square(a)
+    return _killing_entries(form, (a,))[0][2]
 
 
 def killing_form(form: QuadraticForm, method: str = "count") -> list:
@@ -195,13 +213,10 @@ def killing_form(form: QuadraticForm, method: str = "count") -> list:
         raise ValueError(f"unknown method {method!r}")
     if method == "trace":
         caps.require("KILLING_TRACE", form.n)
+    masks = lie_blades(form)
     records = []
-    for mask in lie_blades(form):
-        m = killing_count(form, mask)
-        sq = form.blade_square(mask)
-        if method == "count":
-            value = form.field.element(4 * m) * sq
-        else:
+    for mask, (m, sq, value) in zip(masks, _killing_entries(form, masks)):
+        if method == "trace":
             ad = ad_matrix(_LieBlade(form, mask))
             value = reference.trace_of_product(ad, ad, form.field)
         records.append(KillingRecord(mask, format_blade(mask, form.n), m, sq, value))
@@ -282,14 +297,11 @@ def ad_matrix(xi: Multivector, basis: Optional[Sequence[Multivector]] = None) ->
         return rows
 
     # General spanning sets: solve for coordinates exactly.
-    sys_rows = []
-    for i in range(form.dim):
-        row = {j: basis[j].coeffs[i] for j in range(size) if basis[j].coeffs[i]}
-        sys_rows.append(row)
+    sys_rows = [{j: b.coeffs[i] for j, b in enumerate(basis) if b.coeffs[i]} for i in range(form.dim)]
     for c, b in enumerate(basis):
         out = xi.commutator(b)
-        coords, _, consistent = linalg.affine_solve(
-            sys_rows, list(out.coeffs), size, f
+        coords, _, consistent, _ = linalg.affine_space(
+            *linalg._integer_system(sys_rows, out.coeffs, f), size, f
         )
         if not consistent:
             raise NotInvariantSubspace("bracket leaves the span of the given basis")
@@ -370,8 +382,8 @@ def definiteness_report(form: QuadraticForm) -> DefinitenessReport:
     gram = form.gram_diagonal()
     k_neg = k_zero = k_pos = 0
     p_neg = p_zero = p_pos = 0
-    for m in dec.ideal_masks:
-        s = f.sign_of(killing_entry(form, m, m))
+    for m, (_, _, value) in zip(dec.ideal_masks, _killing_entries(form, dec.ideal_masks)):
+        s = f.sign_of(value)
         if s < 0:
             k_neg += 1
         elif s == 0:
@@ -452,19 +464,19 @@ def _preserves_gram(g: Multivector, left: bool) -> bool:
     translation by ``g`` and G the diagonal Gram matrix of the pairing.
 
     It reads the integer rows c M of ``operators._translation_matrix`` and
-    d G, from the blade squares d sq(m) = (-1)^|m| d G[m] of the same
+    d G, from the blade squares d sq(m) = (-1)^|m| d G[m] of the form's
     square table, so the test is sum_i cM[i][a] dG[i] cM[i][b] = c^2 dG[a]
     when b = a and 0 otherwise.  Column a of M is nonzero only at the rows
     m ^ a and row i only at the columns i ^ m, for m in the support of g,
     so a column costs t^2 for t terms.  The columns are checked in order
     and the first mismatch returns.
     """
-    from .operators import _square_table, _translation_matrix
+    from .operators import _translation_matrix
 
     form = g.form
     p = form.field.p
     rows, c = _translation_matrix(g, left)
-    _, squares = _square_table(form)
+    _, squares = form.square_table()
     gram = [-s if m.bit_count() & 1 else s for m, s in enumerate(squares)]
     support = g.support()
     for a in range(form.dim):

@@ -123,6 +123,25 @@ def test_gram_check_catches_one_altered_entry(monkeypatch):
             monkeypatch.undo()
 
 
+def test_gram_check_catches_one_product_landing_on_the_scalar(monkeypatch):
+    """The off-diagonal spot check reads e_a c(e_b) from the blade products:
+    a product of two distinct blades reported on mask 0 is a nonzero
+    off-diagonal pairing, whichever of the 16 x 16 spot pairs it is."""
+    product = QuadraticForm.blade_product
+    for form in (QuadraticForm([2, -3, 5, 1, -1], RATIONAL), QuadraticForm([3, -1, 1], FieldSpec.prime(7))):
+        limit = min(form.dim, 16)
+        for a, b in ((1, 2), (limit - 1, 0), (3, limit - 2)):
+            def scalar(self, x, y, a=a, b=b):
+                coef, out = product(self, x, y)
+                return BladeProduct(coef, 0 if (x, y) == (a, b) else out)
+
+            monkeypatch.setattr(QuadraticForm, "blade_product", scalar)
+            result = check_gram(form)
+            assert not result.passed and result.detail == f"nonzero off-diagonal at masks {a}, {b}"
+            monkeypatch.undo()
+        assert check_gram(form).passed
+
+
 def test_volume_report_catches_one_flipped_blade_product(monkeypatch):
     product = QuadraticForm.blade_product
     f7 = FieldSpec.prime(7)

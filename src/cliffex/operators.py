@@ -346,7 +346,7 @@ def pairing_uniqueness_report(
                     rhs.append(0)
 
     # e_a e_b = (prods[a][b] / d) e_(a ^ b), as ints from the square table.
-    _, squares = form.square_table()
+    d, squares = form.square_table()
     prods = [
         [-squares[a & b] if reorder_parity(a, b) else squares[a & b] for b in range(dim)]
         for a in range(dim)
@@ -375,19 +375,24 @@ def pairing_uniqueness_report(
     def unpack(vec: list) -> tuple:
         return tuple(tuple(vec[unknown(a, b)] for b in range(dim)) for a in range(dim))
 
-    basis = [form.basis_blade(m) for m in range(dim)]
+    # The canonical pairing is the Gram diagonal: B(e_a, e_b) = g_a when a = b, else 0.
+    gram = form.gram_diagonal()
     matrix = None if solution is None else unpack(solution)
     matches = matrix is not None and all(
-        matrix[a][b] == basis[a].pair(basis[b]) for a in range(dim) for b in range(dim)
+        matrix[a][b] == (gram[a] if a == b else f.zero) for a in range(dim) for b in range(dim)
     )
     kernel = tuple(unpack(vec) for vec in kernel_vecs)
 
     twist = None
     if nullity == 1:
         # Proportional to B(x, omega y): the same support and one ratio.
-        omega = form.volume_element()
+        # omega e_b = (prods[full][b] / d) e_(full ^ b), so B(e_a, omega e_b)
+        # is that coefficient times g_a on the cells a = full ^ b, else 0.
+        full = form.full_mask
         gen = [v for row in kernel[0] for v in row]
-        tw = [basis[a].pair(omega * basis[b]) for a in range(dim) for b in range(dim)]
+        tw = [f.zero] * (dim * dim)
+        for b, num in enumerate(linalg._quotients(prods[full], d, f)):
+            tw[(full ^ b) * dim + b] = num * gram[full ^ b]
         i = next(i for i, v in enumerate(gen) if v)
         ratio = f.div(gen[i], tw[i]) if tw[i] else None
         twist = ratio is not None and all(g == ratio * t for g, t in zip(gen, tw))

@@ -3,7 +3,9 @@
 ``cli_digests.json`` holds one sha256 per invocation of the structure
 commands (``center``, ``lie``, ``killing``, ``decompose``, ``classify``, and
 ``check`` up to rank 4), in text and json, over Q, F_3 and F_7 at ranks 1-6
-plus forms with rational diagonals.  A change that is meant to keep the CLI
+plus forms with rational diagonals, and of the element commands ``invert``
+and ``info`` over Q and F_7 at ranks 2-6, on sparse units, a sparse zero
+divisor and a dense element.  A change that is meant to keep the CLI
 byte-identical must leave every digest as it is.  After a deliberate change
 of output, regenerate the file with ``python tests/test_cli_digests.py``
 (with the package importable) and review the diff.
@@ -30,6 +32,23 @@ def _forms():
         yield "rational", text, text.count(",") + 1
 
 
+def _blade(mask: int) -> str:
+    return "e" + "".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _elements(n: int) -> list:
+    """Three sparse units, the zero divisor 1 + e_n where e_n squares to 1
+    (n >= 3), and a dense element with 8 of every 9 coefficients nonzero."""
+    top = _blade((1 << n) - 1)
+    dense = " ".join(
+        f"{'-' if c < 0 else '+'} {abs(c)}*{_blade(m)}" if m else str(c)
+        for m in range(1 << n)
+        for c in [(5 * m + 2) % 9 - 4]
+        if c
+    )
+    return ["1 + e12", f"2 + e12 + e{n}", f"2 + e1 + {top}", f"1 + e{n}", dense]
+
+
 def invocations() -> list:
     out = []
     for field, form, n in _forms():
@@ -45,6 +64,10 @@ def invocations() -> list:
             commands.append(["check", *base])
         out += commands
     out += [["classify", "--n", str(n)] for n in range(1, 7)]
+    for field in ("rational", "fp:7"):
+        for n in range(2, 7):
+            base = ["--form", f"sig:{n - n // 3},{n // 3}", "--field", field]
+            out += [[cmd, *base, x] for x in _elements(n) for cmd in ("invert", "info")]
     # Refusals above a cap are part of the surface too.
     out += [
         ["center", "--form", "sig:11,0", "--method", "solve"],

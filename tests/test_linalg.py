@@ -2,8 +2,11 @@
 
 The dense determinant is cross-checked against a cofactor expansion that
 shares no code with the production path, on seeded samples and on
-hypothesis-drawn singular and row-swapping matrices; the sparse solver is
-checked by substituting its answers back into the original rows.
+hypothesis-drawn singular and row-swapping matrices.  The lazy row scaling
+of the rational core is checked on matrices with structured zeros against
+cofactors, against the eager F_13 core on the reduced matrix and by
+inverse round trips.  The sparse solver is checked by substituting its
+answers back into the original rows.
 """
 import random
 from fractions import Fraction
@@ -12,7 +15,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffex import RATIONAL, FieldSpec, linalg
+from cliffex import RATIONAL, FieldSpec, QuadraticForm, inverse, linalg, translation_determinants
 from cliffex.errors import DimensionMismatch
 from cliffex.reference import cofactor_determinant, random_element
 
@@ -22,6 +25,19 @@ FIELDS = (RATIONAL, FieldSpec.prime(13))
 
 def _random_matrix(rng, field, n, span=6):
     return [[random_element(rng, field, span) for _ in range(n)] for _ in range(n)]
+
+
+def _mat_mul(a, b, field):
+    """Dense product by the definition, the oracle for inverses."""
+    return [[sum((x * y for x, y in zip(row, col)), field.zero) for col in zip(*b)] for row in a]
+
+
+def _solve(a, b, field):
+    """Solve ``a x = b`` through :func:`linalg.invert_matrix`; None when singular."""
+    inv = linalg.invert_matrix(a, field)
+    if inv is None:
+        return None
+    return [sum((x * y for x, y in zip(row, b)), field.zero) for row in inv]
 
 
 def test_determinant_matches_cofactor_expansion():
@@ -47,7 +63,7 @@ def test_determinant_multiplicative():
         for _ in range(10):
             a = _random_matrix(rng, field, 4)
             b = _random_matrix(rng, field, 4)
-            ab = linalg.mat_mul(a, b, field)
+            ab = _mat_mul(a, b, field)
             assert linalg.determinant(ab, field) == field.mul(
                 linalg.determinant(a, field), linalg.determinant(b, field)
             )
@@ -74,14 +90,14 @@ def test_solve_dense_round_trip():
                 continue
             x = [random_element(rng, field) for _ in range(5)]
             b = linalg.mat_vec(a, x, field)
-            got = linalg.solve_dense(a, b, field)
+            got = _solve(a, b, field)
             assert got == x
             solved += 1
 
 
 def test_solve_dense_reports_singular():
     a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert linalg.solve_dense(a, [Fraction(1), Fraction(1)], RATIONAL) is None
+    assert _solve(a, [Fraction(1), Fraction(1)], RATIONAL) is None
     assert linalg.invert_matrix(a, RATIONAL) is None
 
 
@@ -94,8 +110,8 @@ def test_invert_matrix_round_trip():
             inv = linalg.invert_matrix(a, field)
             if inv is None:
                 continue
-            assert linalg.mat_mul(a, inv, field) == linalg.identity_matrix(4, field)
-            assert linalg.mat_mul(inv, a, field) == linalg.identity_matrix(4, field)
+            assert _mat_mul(a, inv, field) == linalg.identity_matrix(4, field)
+            assert _mat_mul(inv, a, field) == linalg.identity_matrix(4, field)
             done += 1
 
 
@@ -151,7 +167,7 @@ def test_solve_and_inverse_properties(field, data):
     n = len(a)
     x = [data.draw(_scalars(field)) for _ in range(n)]
     b = linalg.mat_vec(a, x, field) if n else []
-    solved = linalg.solve_dense(a, b, field)
+    solved = _solve(a, b, field)
     inv = linalg.invert_matrix(a, field)
     if not cofactor_determinant(a, field):
         assert solved is None and inv is None
@@ -159,8 +175,8 @@ def test_solve_and_inverse_properties(field, data):
     assert solved == x
     if n:
         eye = linalg.identity_matrix(n, field)
-        assert linalg.mat_mul(a, inv, field) == eye
-        assert linalg.mat_mul(inv, a, field) == eye
+        assert _mat_mul(a, inv, field) == eye
+        assert _mat_mul(inv, a, field) == eye
     else:
         assert inv == []
 
@@ -171,7 +187,158 @@ def test_shape_errors():
     with pytest.raises(DimensionMismatch):
         linalg.mat_vec([[Fraction(1)]], [Fraction(1), Fraction(2)], RATIONAL)
     with pytest.raises(DimensionMismatch):
-        linalg.mat_mul([[Fraction(1)]], [[Fraction(1)], [Fraction(2)]], RATIONAL)
+        linalg.invert_matrix([[Fraction(1), Fraction(2)]], RATIONAL)
+
+
+# -- lazy row scaling ----------------------------------------------------
+
+F13 = FieldSpec.prime(13)
+
+
+def _mod13(v):
+    """A rational whose denominator is prime to 13, as an element of F_13."""
+    v = Fraction(v)
+    return F13.element(v.numerator * pow(v.denominator, -1, 13))
+
+
+@st.composite
+def _structured_matrices(draw):
+    """Rational matrices of size 1-8 with structured zeros.
+
+    Permuted block-diagonal and banded matrices; sparse ones with about 70 %
+    zero entries; and "lagging" sparse ones, where a row is swapped up as a
+    pivot row over a row that lags by another pivot.  From size 4, row 2 is
+    a multiple of row 0 on the first three columns, so it is updated at
+    step 0, skipped at step 1 and has a zero pivot entry at step 2; row 3
+    starts with two zeros, so it is skipped twice and then swapped up as
+    the third pivot row.  At size 3 the same is done one step earlier with
+    rows 1 and 2.  Denominators are at most 6, so every entry also reduces
+    mod 13.
+    """
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("block", "banded", "sparse", "lagging")))
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    nonzero = entry.filter(bool)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    if kind == "block":
+        start = 0
+        while start < n:
+            stop = start + draw(st.integers(1, n - start))
+            for i in range(start, stop):
+                for j in range(start, stop):
+                    a[i][j] = draw(entry)
+            start = stop
+    elif kind == "banded":
+        width = draw(st.integers(0, 2))
+        a = [[draw(entry) if abs(i - j) <= width else Fraction(0) for j in range(n)]
+             for i in range(n)]
+    else:
+        a = [[draw(entry) if draw(st.integers(0, 9)) >= 7 else Fraction(0) for _ in range(n)]
+             for _ in range(n)]
+    if kind == "lagging" and n >= 4:
+        t = draw(nonzero)
+        a[0][:2] = [draw(nonzero), draw(nonzero)]
+        a[1][:2] = [draw(nonzero), draw(nonzero)]
+        a[2][:4] = [t * v for v in a[0][:3]] + [draw(nonzero)]
+        a[3][:3] = [Fraction(0), Fraction(0), draw(nonzero)]
+    elif kind == "lagging" and n == 3:
+        t = draw(nonzero)
+        a[0][0] = draw(nonzero)
+        a[1][:2] = [t * v for v in a[0][:2]]
+        a[2][:2] = [Fraction(0), draw(nonzero)]
+    elif kind != "lagging":
+        rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+        a = [[a[i][j] for j in cols] for i in rows]
+    return a
+
+
+@PROPERTY_SETTINGS
+@given(a=_structured_matrices())
+def test_lazy_rows_against_cofactors_reduction_mod_p_and_inverses(a):
+    n = len(a)
+    a13 = [[_mod13(v) for v in row] for row in a]
+    det = linalg.determinant(a, RATIONAL)
+    det13 = linalg.determinant(a13, F13)
+    assert det13 == _mod13(det)
+    if n <= 5:
+        assert det == cofactor_determinant(a, RATIONAL)
+        assert det13 == cofactor_determinant(a13, F13)
+    for field, m, d in ((RATIONAL, a, det), (F13, a13, det13)):
+        inv = linalg.invert_matrix(m, field)
+        if not d:
+            assert inv is None
+            continue
+        eye = linalg.identity_matrix(n, field)
+        assert _mat_mul(m, inv, field) == eye
+        assert _mat_mul(inv, m, field) == eye
+
+
+class _WatchedRow(list):
+    """A row that checks each slice write ``_eliminate`` makes to it.
+
+    The step k is the column of the last single entry read from any row
+    (the pivot search and the update factor read column k).  At step k an
+    update writes from column k + 1 and needs a nonzero entry in column k;
+    a rescale writes from column k and is allowed only for the pivot row.
+    """
+
+    def __getitem__(self, key):
+        if isinstance(key, int):
+            self.state["step"] = key
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        k = self.state["step"]
+        if key.start == k:
+            assert self.state["rows"][k] is self, f"a row other than the pivot rescaled at step {k}"
+        else:
+            assert key.start == k + 1 and super().__getitem__(k), (
+                f"a row with a zero in the pivot column written at step {k}")
+        super().__setitem__(key, value)
+
+
+@PROPERTY_SETTINGS
+@given(a=_structured_matrices())
+def test_rational_elimination_leaves_rows_with_a_zero_pivot_entry_alone(a):
+    rows, scale = linalg._integer_rows(a, [[] for _ in a], RATIONAL)
+    state = {"step": -1}
+    state["rows"] = watched = [_WatchedRow(row) for row in rows]
+    for row in watched:
+        row.state = state
+    det = linalg._eliminate(watched, len(watched), None)[0]
+    assert _mod13(Fraction(det, scale)) == linalg.determinant(
+        [[_mod13(v) for v in row] for row in a], F13)
+
+
+@st.composite
+def _sparse_units(draw):
+    """``(x over Q, x over F_13)``: a product of one to three factors
+    a + b e_I in a signature algebra of rank 1-6, each a unit over Q and
+    over F_13 since a^2 - b^2 (e_I)^2 is prime to 13."""
+    n = draw(st.integers(1, 6))
+    neg = draw(st.integers(0, n))
+    form = QuadraticForm.from_signature(n - neg, neg)
+    form13 = QuadraticForm.from_signature(n - neg, neg, F13)
+    x = form.one()
+    for _ in range(draw(st.integers(1, 3))):
+        mask = draw(st.integers(1, form.dim - 1))
+        a, b = draw(st.integers(-6, 6)), draw(st.integers(1, 6))
+        while not (a * a - b * b * form.blade_square(mask)) % 13:
+            a += 1
+        x = x * form.multivector({0: a, mask: b})
+    return x, form13.multivector({m: int(c) for m, c in x.terms()})
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(pair=_sparse_units())
+def test_lazy_rows_on_translation_matrices_of_sparse_units(pair):
+    x, x13 = pair
+    det, _ = translation_determinants(x)
+    det13, _ = translation_determinants(x13)
+    assert det and det13 == _mod13(det)
+    for y in (x, x13):
+        inv = inverse(y)
+        assert y * inv == inv * y == y.form.one()
 
 
 # -- sparse path ---------------------------------------------------------

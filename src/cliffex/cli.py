@@ -90,10 +90,6 @@ def _emit(args, text_lines, obj) -> None:
             print(line)
 
 
-def _fmt(field, value) -> str:
-    return field.format(value)
-
-
 def _center_obj(desc) -> dict:
     return {"dim": desc.dimension, "basis": [str(b) for b in desc.basis]}
 
@@ -103,8 +99,8 @@ def _killing_records_obj(records, field) -> list:
         {
             "blade": r.blade,
             "m": r.anticommuting,
-            "square": _fmt(field, r.square),
-            "B": _fmt(field, r.value),
+            "square": field.format(r.square),
+            "B": field.format(r.value),
         }
         for r in records
     ]
@@ -113,7 +109,7 @@ def _killing_records_obj(records, field) -> list:
 def _matrix_obj(rows, field) -> dict:
     return {
         "dim": len(rows),
-        "entries": [[_fmt(field, v) for v in row] for row in rows],
+        "entries": [[field.format(v) for v in row] for row in rows],
         "field": field.to_text(),
     }
 
@@ -161,22 +157,21 @@ def _cmd_invert(args) -> int:
 def _cmd_info(args) -> int:
     form = _build_form(args)
     f = form.field
-    gram = form.gram_diagonal()
     obj = {
         "n": form.n,
         "dim": form.dim,
         "field": f.to_text(),
-        "diag": [_fmt(f, q) for q in form.diag],
-        "volume_square": _fmt(f, form.volume_square()),
-        "gram": [_fmt(f, g) for g in gram],
+        "diag": [f.format(q) for q in form.diag],
+        "volume_square": f.format(form.volume_square()),
+        "gram": [f.format(g) for g in form.gram_diagonal()],
     }
     lines = [
         f"n: {form.n}",
         f"dim: {form.dim}",
-        f"field: {f.to_text()}",
-        "diag: " + ", ".join(_fmt(f, q) for q in form.diag),
-        f"volume square: {_fmt(f, form.volume_square())}",
-        "gram diagonal: " + ", ".join(_fmt(f, g) for g in gram),
+        f"field: {obj['field']}",
+        "diag: " + ", ".join(obj["diag"]),
+        f"volume square: {obj['volume_square']}",
+        "gram diagonal: " + ", ".join(obj["gram"]),
     ]
     if args.x is not None:
         x = form.parse(args.x)
@@ -184,28 +179,26 @@ def _cmd_info(args) -> int:
             obj["element"] = {"input": str(x), "zero": True}
             lines.append("element: 0 (the zero element)")
         else:
-            left = operators.left_matrix(x)
-            right = operators.right_matrix(x)
             dl, dr = operators.translation_determinants(x)
-            zd = not dl
-            elem = {
+            elem = obj["element"] = {
                 "input": str(x),
                 "grades": sorted(x.grades()),
-                "self_pairing": _fmt(f, x.pair(x)),
-                "left_det": _fmt(f, dl),
-                "right_det": _fmt(f, dr),
-                "zero_divisor": zd,
-                "left_matrix": _matrix_obj(left, f),
-                "right_matrix": _matrix_obj(right, f),
+                "self_pairing": f.format(x.pair(x)),
+                "left_det": f.format(dl),
+                "right_det": f.format(dr),
+                "zero_divisor": not dl,
             }
-            obj["element"] = elem
+            if args.fmt == "json":
+                # The text report prints no matrices, so only json builds them.
+                elem["left_matrix"] = _matrix_obj(operators.left_matrix(x), f)
+                elem["right_matrix"] = _matrix_obj(operators.right_matrix(x), f)
             lines += [
-                f"element: {x}",
-                "grades: " + ", ".join(str(g) for g in sorted(x.grades())),
-                f"self pairing: {_fmt(f, x.pair(x))}",
-                f"left det: {_fmt(f, dl)}",
-                f"right det: {_fmt(f, dr)}",
-                f"zero divisor: {'yes' if zd else 'no'}",
+                f"element: {elem['input']}",
+                "grades: " + ", ".join(str(g) for g in elem["grades"]),
+                f"self pairing: {elem['self_pairing']}",
+                f"left det: {elem['left_det']}",
+                f"right det: {elem['right_det']}",
+                f"zero divisor: {'yes' if elem['zero_divisor'] else 'no'}",
             ]
     _emit(args, lines, obj)
     return 0
@@ -245,25 +238,15 @@ def _cmd_center(args) -> int:
 
 def _cmd_lie(args) -> int:
     form = _build_form(args)
-    blades = structure.lie_blades(form)
-    expected = tuple(m for m in range(form.dim) if structure.is_lie_blade(m))
-    if blades != expected:
-        raise CliffexError("blade enumeration is inconsistent")
-    basis = structure.lie_algebra_basis(form)
     obj = {
         "n": form.n,
         "lie_dim": structure.lie_dimension(form.n),
-        "blades": [str(b) for b in basis],
+        "blades": [str(b) for b in structure.lie_algebra_basis(form)],
     }
-    lines = [
-        f"lie dimension: {structure.lie_dimension(form.n)}",
-        "blades: " + " ".join(str(b) for b in basis),
-    ]
+    lines = [f"lie dimension: {obj['lie_dim']}", "blades: " + " ".join(obj["blades"])]
     if args.x is not None:
-        x = form.parse(args.x)
-        member = structure.in_lie_algebra(x)
-        obj["member"] = member
-        lines.append(f"member: {'yes' if member else 'no'}")
+        obj["member"] = structure.in_lie_algebra(form.parse(args.x))
+        lines.append(f"member: {'yes' if obj['member'] else 'no'}")
     _emit(args, lines, obj)
     return 0
 
@@ -274,12 +257,12 @@ def _cmd_killing(args) -> int:
     f = form.field
     obj = {
         "n": form.n,
-        "diag": [_fmt(f, q) for q in form.diag],
+        "diag": [f.format(q) for q in form.diag],
         "method": args.method,
         "killing": _killing_records_obj(records, f),
     }
     lines = [
-        f"{r.blade}: m={r.anticommuting} square={_fmt(f, r.square)} B={_fmt(f, r.value)}"
+        f"{r.blade}: m={r.anticommuting} square={f.format(r.square)} B={f.format(r.value)}"
         for r in records
     ]
     _emit(args, lines, obj)
@@ -298,7 +281,7 @@ def _cmd_decompose(args) -> int:
         records = structure.killing_form(form, method="count")
         obj = {
             "n": form.n,
-            "diag": [_fmt(f, q) for q in form.diag],
+            "diag": [f.format(q) for q in form.diag],
             "lie_dim": dec.lie_dim,
             "center": _center_obj(center_desc),
             "lie_center": _center_obj(lie_center_desc),

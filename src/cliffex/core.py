@@ -58,10 +58,6 @@ def anticommute_parity(a: int, b: int) -> int:
     return (a.bit_count() * b.bit_count() - (a & b).bit_count()) & 1
 
 
-def grade_of(mask: int) -> int:
-    return mask.bit_count()
-
-
 def involute_sign(mask: int) -> int:
     """Main involution: -1 on odd grades."""
     return -1 if mask.bit_count() & 1 else 1
@@ -270,9 +266,6 @@ class QuadraticForm:
             raise IndexOutOfRange(f"generator index {index} outside 1..{self.n}")
         return self.basis_blade(1 << (index - 1))
 
-    def generators(self) -> list:
-        return [self.generator(i) for i in range(1, self.n + 1)]
-
     def vector(self, components: Iterable) -> "Multivector":
         """Grade-1 element with the given n components."""
         comps = [self.field.element(c) for c in components]
@@ -357,13 +350,6 @@ class Multivector:
 
     def grades(self) -> set:
         return {m.bit_count() for m, _ in self.terms()}
-
-    def grade_part(self, k: int) -> "Multivector":
-        coeffs = tuple(
-            c if m.bit_count() == k else self.form.field.zero
-            for m, c in enumerate(self.coeffs)
-        )
-        return Multivector._make(self.form, coeffs)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

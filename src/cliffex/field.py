@@ -329,9 +329,6 @@ class FieldSpec:
     def mul(self, x, y) -> FieldElement:
         return self._claim(x) * self._claim(y)
 
-    def neg(self, x) -> FieldElement:
-        return -self._claim(x)
-
     def div(self, x, y) -> FieldElement:
         x, y = self._claim(x), self._claim(y)
         if not y:

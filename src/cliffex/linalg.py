@@ -27,24 +27,6 @@ def identity_matrix(dim: int, field: FieldSpec) -> Matrix:
     return [[o if i == j else z for j in range(dim)] for i in range(dim)]
 
 
-def mat_vec(a: Matrix, v: Sequence[FieldElement], field: FieldSpec) -> list:
-    if len(a[0]) != len(v):
-        raise DimensionMismatch(f"{len(a)}x{len(a[0])} matrix times length-{len(v)} vector")
-    z = field.zero
-    out = []
-    for row in a:
-        s = z
-        for x, y in zip(row, v):
-            if x and y:
-                s = s + x * y
-        out.append(s)
-    return out
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
 def _eliminate(rows: list, n: int, p: Optional[int]) -> tuple:
     """Fraction-free elimination of an integer augmented system, in place.
 

@@ -30,24 +30,13 @@ from .errors import (
     SingularTransformation,
     ZeroElement,
 )
-from .field import FieldElement
 
 
 def _translation_matrix(a: Multivector, left: bool) -> tuple:
     """Integer rows of c T and the scale c, for T the matrix of y -> a * y
-    when ``left``, else of y -> y * a (columns index the input).
-
-    Column mj of T is the image of e_mj.  The term ci e_mi of ``a`` sends it
-    to ±ci sq(mi & mj) e_(mi ^ mj), the sign being the reorder parity of
-    (mi, mj) on the left and of (mj, mi) on the right.  For a fixed mj the
-    map mi -> mi ^ mj is injective, so each cell is written once, as
-    ±(ci d_a)(d sq(mi & mj)) with d_a the common denominator of the
-    coefficients of ``a`` and d that of the form's square table; then
-    c = d_a d.  Over F_p the cells are residues and c = 1.
-
-    The reorder parity is additive in each argument over GF(2), so for a
-    fixed mi it is the parity of mj & w, with w the generators whose own
-    parity against mi is odd.
+    when ``left``, else of y -> y * a (columns index the input); over F_p
+    the cells are residues and c = 1.  The README's design notes derive
+    the cells and signs.
     """
     form = a.form
     dim = form.dim
@@ -102,12 +91,8 @@ def right_matrix(a: Multivector) -> list:
 def translation_determinants(a: Multivector) -> tuple:
     """Exact determinants (left, right) of the two translations by ``a``.
 
-    They are equal, so one elimination of c L_a gives both, as
-    det(c L_a) / c^dim.  The scalar part tau has tau(x y) = tau(y x) and
-    the pairing b(u, v) = tau(u v) has the nonzero diagonal Gram matrix G
-    of the blade squares; b(a u, v) = b(u, v a) then reads L_a^T G = G R_a,
-    so R_a = G^-1 L_a^T G has the determinant of L_a in every field of
-    characteristic other than 2.
+    They are equal (R_a = G^-1 L_a^T G, see the README's design notes), so
+    one elimination of c L_a gives both, as det(c L_a) / c^dim.
     """
     rows, scale = _translation_matrix(a, True)
     dim = a.form.dim
@@ -189,17 +174,6 @@ class AlgebraMap:
         for mask, c in x.terms():
             acc = acc + self.blade_images[mask] * c
         return acc
-
-    def matrix(self) -> list:
-        """Dense dim x dim matrix of the map (columns index source blades)."""
-        dim = self.source.dim
-        zero = self.target.field.zero
-        rows = [[zero] * dim for _ in range(dim)]
-        for j in range(dim):
-            img = self.blade_images[j]
-            for i in range(dim):
-                rows[i][j] = img.coeffs[i]
-        return rows
 
     def inverse(self) -> "AlgebraMap":
         inv = linalg.invert_matrix(self.vector_matrix, self.source.field)

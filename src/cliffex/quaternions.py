@@ -312,15 +312,7 @@ class HMatrix:
         xs = [self._as_quat(v) for v in vec]
         if len(xs) != self.size:
             raise DimensionMismatch(f"vector length {len(xs)} != size {self.size}")
-        out = []
-        for i in range(self.size):
-            acc = Quaternion()
-            row = self.entries[i]
-            for k in range(self.size):
-                if xs[k] and row[k]:
-                    acc = acc + xs[k] * row[k]
-            out.append(acc)
-        return tuple(out)
+        return tuple(_dot(xs, row) for row in self.entries)
 
     def compose(self, other: "HMatrix") -> "HMatrix":
         """The product matching action composition: self after other.
@@ -329,18 +321,8 @@ class HMatrix:
         """
         if not isinstance(other, HMatrix) or other.size != self.size:
             raise DimensionMismatch("compose needs matching square matrices")
-        m = self.size
-        out = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = Quaternion()
-                for k in range(m):
-                    if other.entries[k][j] and self.entries[i][k]:
-                        acc = acc + other.entries[k][j] * self.entries[i][k]
-                row.append(acc)
-            out.append(row)
-        return HMatrix(out)
+        cols = list(zip(*other.entries))
+        return HMatrix([[_dot(col, row) for col in cols] for row in self.entries])
 
     def adjoint(self) -> "HMatrix":
         """Conjugate transpose."""
@@ -364,17 +346,34 @@ class HMatrix:
         return f"HMatrix[{rows}]"
 
 
+def _dot(xs: Sequence, ys: Sequence) -> Quaternion:
+    """sum_k xs[k] ys[k] for quaternions, each product in that order.
+
+    The Hamilton products are summed on integer numerators over one
+    denominator and reduced once, at the end.
+    """
+    a = b = c = d = 0
+    den = 1
+    for x, y in zip(xs, ys):
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = x._num, y._num
+        e = x._den * y._den
+        if e == den:
+            k = 1
+        else:
+            a, b, c, d, k, den = a * e, b * e, c * e, d * e, den, den * e
+        a += k * (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2)
+        b += k * (a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2)
+        c += k * (a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2)
+        d += k * (a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+    return _reduced(a, b, c, d, den)
+
+
 def hermitian_pairing(x: Sequence, y: Sequence) -> Quaternion:
     """sum_i x_i conj(y_i); left-linear in x, conjugate-linear in y."""
     if len(x) != len(y):
         raise DimensionMismatch("pairing needs equal-length vectors")
-    acc = Quaternion()
-    for xv, yv in zip(x, y):
-        xq = HMatrix._as_quat(xv)
-        yq = HMatrix._as_quat(yv)
-        if xq and yq:
-            acc = acc + xq * yq.conjugate()
-    return acc
+    pairs = [(HMatrix._as_quat(xv), HMatrix._as_quat(yv)) for xv, yv in zip(x, y)]
+    return _dot([xq for xq, _ in pairs], [yq.conjugate() for _, yq in pairs])
 
 
 def _left_inverse(rows: list) -> list:
@@ -410,19 +409,11 @@ def coordinates_in_basis(vec: Sequence, basis: Sequence) -> tuple:
     m = len(basis)
     if any(len(b) != m for b in basis) or len(vec) != m:
         raise DimensionMismatch("need m vectors of length m and a matching target")
-    u_rows = [[HMatrix._as_quat(v) for v in b] for b in basis]
-    x = _left_inverse(u_rows)
+    x = _left_inverse([[HMatrix._as_quat(v) for v in b] for b in basis])
     if x is None:
         raise SingularBasis("the given vectors are linearly dependent")
     w = [HMatrix._as_quat(v) for v in vec]
-    out = []
-    for r in range(m):
-        acc = Quaternion()
-        for j in range(m):
-            if w[j] and x[j][r]:
-                acc = acc + w[j] * x[j][r]
-        out.append(acc)
-    return tuple(out)
+    return tuple(_dot(w, col) for col in zip(*x))
 
 
 def basis_change(a: HMatrix, basis: Sequence) -> HMatrix:
@@ -441,18 +432,8 @@ def basis_change(a: HMatrix, basis: Sequence) -> HMatrix:
     x = _left_inverse(u_rows)
     if x is None:
         raise SingularBasis("the given vectors are linearly dependent")
-    cols = []
-    for i in range(m):
-        w = a.action(basis[i])
-        coord = []
-        for r in range(m):
-            acc = Quaternion()
-            for j in range(m):
-                if w[j] and x[j][r]:
-                    acc = acc + w[j] * x[j][r]
-            coord.append(acc)
-        cols.append(coord)
-    return HMatrix([[cols[i][r] for i in range(m)] for r in range(m)])
+    images = [a.action(u) for u in u_rows]
+    return HMatrix([[_dot(w, col) for w in images] for col in zip(*x)])
 
 
 # -- bridge to the rank-2 algebra ----------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import caps, linalg, reference
 from .core import (
@@ -60,8 +60,10 @@ def lie_algebra_basis(form: QuadraticForm) -> list:
 
 
 def in_lie_algebra(x: Multivector) -> bool:
-    """Membership in the (-1)-eigenspace of the composite involution."""
-    return x.conjugate() == -x
+    """Membership in the (-1)-eigenspace of the composite involution: c is
+    diagonal in the blade basis with signs ±1 and 2 != 0 in the field, so
+    c(x) = -x exactly when every term of x sits on a Lie blade."""
+    return all(is_lie_blade(m) for m in x.support())
 
 
 # -- centers -------------------------------------------------------------
@@ -214,100 +216,69 @@ def killing_form(form: QuadraticForm, method: str = "count") -> list:
     if method == "trace":
         caps.require("KILLING_TRACE", form.n)
     masks = lie_blades(form)
+    one = form.field.one
     records = []
     for mask, (m, sq, value) in zip(masks, _killing_entries(form, masks)):
         if method == "trace":
-            ad = ad_matrix(_LieBlade(form, mask))
+            ad = _ad_columns(form, ((mask, one),), masks)
             value = reference.trace_of_product(ad, ad, form.field)
         records.append(KillingRecord(mask, format_blade(mask, form.n), m, sq, value))
     return records
 
 
-class _LieBlade(NamedTuple):
-    """The unit blade e_mask of ``form`` as the trace route hands it to
-    :func:`ad_matrix`, which reads only ``form`` and ``terms()``: one term,
-    and no dense multivector."""
+def _ad_columns(form: QuadraticForm, terms: Sequence, masks: Sequence[int]) -> list:
+    """Matrix of bracketing with x = sum x_a e_a, for ``terms`` the pairs
+    (a, x_a), on the span of the unit blades ``masks``.
 
-    form: QuadraticForm
-    mask: int
-
-    def terms(self) -> tuple:
-        return ((self.mask, self.form.field.one),)
+    Column b is [x, e_b] = sum over the terms of x_a (e_a e_b - e_b e_a),
+    with both blade products taken literally, so that this route, the
+    definition of the Killing form, shares nothing with the anticommutation
+    counts.  The map a -> a xor b is injective, so each term lands on its
+    own output blade; the outputs are read in ascending mask order, and the
+    first one outside the span is the blade that
+    :class:`NotInvariantSubspace` names.
+    """
+    zero = form.field.zero
+    rows = [[zero] * len(masks) for _ in masks]
+    pos = {m: i for i, m in enumerate(masks)}
+    product = form.blade_product
+    for c, b in enumerate(masks):
+        out = {}
+        for a, x_a in terms:
+            ab = product(a, b)
+            diff = ab.coef - product(b, a).coef
+            if diff:
+                out[ab.mask] = x_a * diff
+        for mask in sorted(out):
+            r = pos.get(mask)
+            if r is None:
+                raise NotInvariantSubspace(
+                    f"bracket leaves the span at blade {format_blade(mask, form.n)}"
+                )
+            rows[r][c] = out[mask]
+    return rows
 
 
 def ad_matrix(xi: Multivector, basis: Optional[Sequence[Multivector]] = None) -> list:
-    """Matrix of bracketing with ``xi`` on the span of ``basis``.
+    """Matrix of bracketing with ``xi`` on the span of ``basis``, a list of
+    unit blades e_b, by default the Lie algebra's blade basis.
 
-    Defaults to the Lie algebra's blade basis.  Raises
-    :class:`NotInLieAlgebra` when ``xi`` is outside the Lie algebra and
-    :class:`NotInvariantSubspace` when some bracket leaves the span.
-
-    On a basis of unit blades each column is built from blade products,
-    [xi, e_b] = sum over the terms x_a e_a of x_a (e_a e_b - e_b e_a), with
-    both products taken literally so that this route, the definition of
-    the Killing form, shares nothing with the anticommutation counts.  The
-    map a -> a xor b is injective, so each term lands on its own output
-    blade; the outputs are read in ascending mask order, and the first one
-    outside the span is the blade that ``NotInvariantSubspace`` names.
-    Any other spanning set goes through an exact sparse solve per column.
-
-    Only ``xi.form`` and ``xi.terms()`` are read on the unit-blade path, so
-    :func:`killing_form` passes each blade as a ``_LieBlade`` instead of a
-    dense multivector.
+    Raises :class:`NotInLieAlgebra` when ``xi`` is outside the Lie algebra
+    and :class:`NotInvariantSubspace` when a basis element is not a unit
+    blade or some bracket leaves the span, naming the lowest blade that
+    leaves it.
     """
-    form = xi.form
-    terms = list(xi.terms())
-    # c is diagonal in the blade basis with signs ±1 and 2 != 0 in the
-    # field, so c(xi) = -xi exactly when every term sits on a Lie blade.
-    if not all(is_lie_blade(m) for m, _ in terms):
+    if not in_lie_algebra(xi):
         raise NotInLieAlgebra("ad is defined for Lie-algebra elements")
-    f = form.field
+    form = xi.form
     if basis is None:
-        unit_masks = lie_blades(form)
+        masks = lie_blades(form)
     else:
-        basis = list(basis)
-        unit_masks = []
-        for b in basis:
-            support = b.support()
-            if len(support) == 1 and b.coeffs[support[0]] == f.one:
-                unit_masks.append(support[0])
-            else:
-                unit_masks = None
-                break
-    size = len(unit_masks) if unit_masks is not None else len(basis)
-    rows = [[f.zero] * size for _ in range(size)]
-
-    if unit_masks is not None:
-        pos = {m: i for i, m in enumerate(unit_masks)}
-        product = form.blade_product
-        for c, b in enumerate(unit_masks):
-            out = {}
-            for a, x_a in terms:
-                ab = product(a, b)
-                diff = ab.coef - product(b, a).coef
-                if diff:
-                    out[ab.mask] = x_a * diff
-            for mask in sorted(out):
-                r = pos.get(mask)
-                if r is None:
-                    raise NotInvariantSubspace(
-                        f"bracket leaves the span at blade {format_blade(mask, form.n)}"
-                    )
-                rows[r][c] = out[mask]
-        return rows
-
-    # General spanning sets: solve for coordinates exactly.
-    sys_rows = [{j: b.coeffs[i] for j, b in enumerate(basis) if b.coeffs[i]} for i in range(form.dim)]
-    for c, b in enumerate(basis):
-        out = xi.commutator(b)
-        coords, _, consistent, _ = linalg.affine_space(
-            *linalg._integer_system(sys_rows, out.coeffs, f), size, f
-        )
-        if not consistent:
-            raise NotInvariantSubspace("bracket leaves the span of the given basis")
-        for r in range(size):
-            rows[r][c] = coords[r]
-    return rows
+        supports = [b.support() for b in basis]
+        if any(len(s) != 1 or b.coeffs[s[0]] != form.field.one for b, s in zip(basis, supports)):
+            raise NotInvariantSubspace("ad_matrix needs a basis of unit blades")
+        masks = [s[0] for s in supports]
+    return _ad_columns(form, list(xi.terms()), masks)
 
 
 # -- decomposition -------------------------------------------------------
@@ -460,16 +431,11 @@ def isometry_evidence(g: Multivector) -> IsometryEvidence:
 
 
 def _preserves_gram(g: Multivector, left: bool) -> bool:
-    """Exact check that transpose(M) G M = G, for M the left (or right)
-    translation by ``g`` and G the diagonal Gram matrix of the pairing.
-
-    It reads the integer rows c M of ``operators._translation_matrix`` and
-    d G, from the blade squares d sq(m) = (-1)^|m| d G[m] of the form's
-    square table, so the test is sum_i cM[i][a] dG[i] cM[i][b] = c^2 dG[a]
-    when b = a and 0 otherwise.  Column a of M is nonzero only at the rows
-    m ^ a and row i only at the columns i ^ m, for m in the support of g,
-    so a column costs t^2 for t terms.  The columns are checked in order
-    and the first mismatch returns.
+    """Exact check that M^T G M = G, for M the left (or right)
+    translation by ``g`` and G the diagonal Gram matrix of the pairing, on
+    the integer rows c M and d G: sum_i cM[i][a] dG[i] cM[i][b] is c^2 dG[a]
+    when b = a and 0 otherwise.  Column by column, visiting only the
+    nonzeros (see the README's design notes), and the first mismatch returns.
     """
     from .operators import _translation_matrix
 

@@ -182,8 +182,8 @@ def test_killing_check_runs_the_trace_route_up_to_the_oracle_cap(monkeypatch):
     assert above.skipped
     assert above.detail == f"KILLING_TRACE capped at n = {caps.KILLING_TRACE}"
     # Doubling every adjoint matrix quadruples the traces: the routes disagree.
-    ad = structure.ad_matrix
+    ad = structure._ad_columns
     monkeypatch.setattr(
-        structure, "ad_matrix", lambda *a: [[v + v for v in row] for row in ad(*a)]
+        structure, "_ad_columns", lambda *a: [[v + v for v in row] for row in ad(*a)]
     )
     assert not check_killing(QuadraticForm([1, 1, -1], RATIONAL)).passed

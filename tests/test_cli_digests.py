@@ -5,7 +5,9 @@ commands (``center``, ``lie``, ``killing``, ``decompose``, ``classify``, and
 ``check`` up to rank 4), in text and json, over Q, F_3 and F_7 at ranks 1-6
 plus forms with rational diagonals, and of the element commands ``invert``
 and ``info`` over Q and F_7 at ranks 2-6, on sparse units, a sparse zero
-divisor and a dense element.  A change that is meant to keep the CLI
+divisor and a dense element, and of ``product``, ``involute`` (each kind),
+``isometry`` (a rotor and a non-unit) and ``lie`` with a member and a
+non-member over Q and F_7 at ranks 1-6.  A change that is meant to keep the CLI
 byte-identical must leave every digest as it is.  After a deliberate change
 of output, regenerate the file with ``python tests/test_cli_digests.py``
 (with the package importable) and review the diff.
@@ -49,6 +51,23 @@ def _elements(n: int) -> list:
     return ["1 + e12", f"2 + e12 + e{n}", f"2 + e1 + {top}", f"1 + e{n}", dense]
 
 
+def _element_pairs(n: int) -> list:
+    """A sparse element and the dense one of :func:`_elements`, and a
+    second factor; all valid at every rank n >= 1."""
+    top = _blade((1 << n) - 1)
+    return [f"1 + 2*e1 - {top}", _elements(n)[-1]], f"3*e{n} - 1/2 + {top}"
+
+
+def _lie_elements(n: int) -> list:
+    """A Lie member on the Lie blades among e1, e12, e_n and the top
+    blade, and that member plus a blade of grade 0 or 3 (a non-member)."""
+    picks = {1, 3 if n > 1 else 1, 1 << (n - 1)}
+    if n % 4 in (1, 2):
+        picks.add((1 << n) - 1)
+    member = " - ".join(_blade(m) for m in sorted(picks))
+    return [member, member + (" + 3*e123" if n > 2 else " + 1")]
+
+
 def invocations() -> list:
     out = []
     for field, form, n in _forms():
@@ -68,6 +87,16 @@ def invocations() -> list:
         for n in range(2, 7):
             base = ["--form", f"sig:{n - n // 3},{n // 3}", "--field", field]
             out += [[cmd, *base, x] for x in _elements(n) for cmd in ("invert", "info")]
+    for field in ("rational", "fp:7"):
+        for n in range(1, 7):
+            base = ["--form", f"sig:{n - n // 3},{n // 3}", "--field", field]
+            xs, y = _element_pairs(n)
+            out += [["product", *base, x, y] for x in xs]
+            out += [["involute", *base, "--kind", kind, x]
+                    for kind in ("grade", "reverse", "conj") for x in xs]
+            rotor = "3/5 + 4/5*e12" if n > 1 else "-1"
+            out += [["isometry", *base, g] for g in (rotor, "2 + e1")]
+            out += [["lie", *base, x] for x in _lie_elements(n)]
     # Refusals above a cap are part of the surface too.
     out += [
         ["center", "--form", "sig:11,0", "--method", "solve"],

@@ -32,6 +32,11 @@ def _mat_mul(a, b, field):
     return [[sum((x * y for x, y in zip(row, col)), field.zero) for col in zip(*b)] for row in a]
 
 
+def _mat_vec(a, x, field):
+    """Dense matrix times vector by the definition."""
+    return [sum((y * v for y, v in zip(row, x)), field.zero) for row in a]
+
+
 def _solve(a, b, field):
     """Solve ``a x = b`` through :func:`linalg.invert_matrix`; None when singular."""
     inv = linalg.invert_matrix(a, field)
@@ -54,7 +59,7 @@ def test_determinant_of_identity_and_swap():
         eye = linalg.identity_matrix(4, field)
         assert linalg.determinant(eye, field) == field.one
         swapped = [eye[1], eye[0], eye[2], eye[3]]
-        assert linalg.determinant(swapped, field) == field.neg(field.one)
+        assert linalg.determinant(swapped, field) == -field.one
 
 
 def test_determinant_multiplicative():
@@ -89,7 +94,7 @@ def test_solve_dense_round_trip():
             if not linalg.determinant(a, field):
                 continue
             x = [random_element(rng, field) for _ in range(5)]
-            b = linalg.mat_vec(a, x, field)
+            b = _mat_vec(a, x, field)
             got = _solve(a, b, field)
             assert got == x
             solved += 1
@@ -166,7 +171,7 @@ def test_solve_and_inverse_properties(field, data):
     a, _ = data.draw(_square_matrices(field))
     n = len(a)
     x = [data.draw(_scalars(field)) for _ in range(n)]
-    b = linalg.mat_vec(a, x, field) if n else []
+    b = _mat_vec(a, x, field) if n else []
     solved = _solve(a, b, field)
     inv = linalg.invert_matrix(a, field)
     if not cofactor_determinant(a, field):
@@ -184,8 +189,6 @@ def test_solve_and_inverse_properties(field, data):
 def test_shape_errors():
     with pytest.raises(DimensionMismatch):
         linalg.determinant([[Fraction(1), Fraction(2)]], RATIONAL)
-    with pytest.raises(DimensionMismatch):
-        linalg.mat_vec([[Fraction(1)]], [Fraction(1), Fraction(2)], RATIONAL)
     with pytest.raises(DimensionMismatch):
         linalg.invert_matrix([[Fraction(1), Fraction(2)]], RATIONAL)
 

@@ -40,8 +40,7 @@ F7 = FieldSpec.prime(7)
 
 
 def _mat_times_coeffs(m, x):
-    field = x.form.field
-    return linalg.mat_vec(m, list(x.coeffs), field)
+    return [sum((a * c for a, c in zip(row, x.coeffs)), x.form.field.zero) for row in m]
 
 
 # -- translation matrices ------------------------------------------------

@@ -268,6 +268,40 @@ def test_compose_entry_rule_uses_reversed_factors():
     assert a.compose(b) != b.compose(a)
 
 
+def test_matrix_sums_match_the_scalar_arithmetic():
+    # action, compose, the pairing and coordinates sum their products on
+    # integer numerators; the oracle sums them with Quaternion + and *, on
+    # entries with mixed denominators and zeros.
+    rng = random.Random(SEED + 18)
+
+    def entry():
+        if rng.random() < 0.25:
+            return Quaternion()
+        return Quaternion(*(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+                            for _ in range(4)))
+
+    def total(products):
+        return sum(products, Quaternion())
+
+    for size in (1, 2, 3, 4):
+        for _ in range(6):
+            a = HMatrix([[entry() for _ in range(size)] for _ in range(size)])
+            b = HMatrix([[entry() for _ in range(size)] for _ in range(size)])
+            x = [entry() for _ in range(size)]
+            y = [entry() for _ in range(size)]
+            ks = range(size)
+            assert a.action(x) == tuple(total(x[k] * a[i, k] for k in ks) for i in ks)
+            assert a.compose(b) == HMatrix(
+                [[total(b[k, j] * a[i, k] for k in ks) for j in ks] for i in ks]
+            )
+            assert hermitian_pairing(x, y) == total(x[k] * y[k].conjugate() for k in ks)
+            try:
+                coords = coordinates_in_basis(x, a.entries)
+            except SingularBasis:
+                continue
+            assert tuple(total(coords[r] * a[r, k] for r in ks) for k in ks) == tuple(x)
+
+
 def test_adjoint_is_conjugate_transpose_and_reverses_compose():
     rng = random.Random(SEED + 7)
     for size in (1, 2, 3):
@@ -392,6 +426,33 @@ def test_coordinates_reject_dependent_basis():
         coordinates_in_basis((Quaternion.one(), Quaternion.one()), dep)
     with pytest.raises(DimensionMismatch):
         coordinates_in_basis((Quaternion.one(),), dep)
+
+
+def test_coordinate_and_basis_change_errors_keep_their_messages():
+    one, i = Quaternion.one(), Quaternion.i()
+    good = [(one, Quaternion()), (Quaternion(), one)]
+    dep = [(one, i), (i, i * i)]
+    shape = "^need m vectors of length m and a matching target$"
+    dependent = "^the given vectors are linearly dependent$"
+    with pytest.raises(DimensionMismatch, match=shape):
+        coordinates_in_basis((one,), good)
+    with pytest.raises(DimensionMismatch, match=shape):
+        coordinates_in_basis((one, one), [(one,), (one,)])
+    with pytest.raises(DimensionMismatch, match="^entry '1' is not a quaternion$"):
+        coordinates_in_basis((one, one), [("1", one), (one, one)])
+    with pytest.raises(DimensionMismatch, match="^entry 'x' is not a quaternion$"):
+        coordinates_in_basis(("x", one), good)
+    with pytest.raises(SingularBasis, match=dependent):
+        coordinates_in_basis((one, one), dep)
+    a = HMatrix.identity(2)
+    with pytest.raises(DimensionMismatch, match="^expected 2 basis vectors, got 1$"):
+        basis_change(a, good[:1])
+    with pytest.raises(DimensionMismatch, match="^basis vectors must have the matrix's size$"):
+        basis_change(a, [(one,), (one, i, one)])
+    with pytest.raises(DimensionMismatch, match="^entry 'x' is not a quaternion$"):
+        basis_change(a, [("x", one), (one, one)])
+    with pytest.raises(SingularBasis, match=dependent):
+        basis_change(a, dep)
 
 
 def test_basis_change_in_standard_basis_is_identity_operation():

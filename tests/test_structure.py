@@ -254,6 +254,19 @@ def test_ad_matrix_names_the_lowest_blade_leaving_a_unit_sub_basis():
     ]
 
 
+def test_ad_matrix_refuses_a_basis_element_that_is_not_a_unit_blade():
+    for field in (None, F7):
+        form = QuadraticForm([1, 1, -1], field)
+        xi = form.parse("e12")
+        e1, e2 = form.basis_blade(0b001), form.basis_blade(0b010)
+        # Each of these spans a space that [xi, -] maps into itself.
+        for bad in ([e1, e2 * 2, form.parse("e12")], [e1 + e2, e1 - e2, form.parse("e12")],
+                    [e1, e2, form.zero()]):
+            with pytest.raises(NotInvariantSubspace, match="^ad_matrix needs a basis of unit blades$"):
+                ad_matrix(xi, bad)
+        assert len(ad_matrix(xi, [e1, e2, form.parse("e12")])) == 3
+
+
 def test_ad_matrix_rejects_non_members():
     form = QuadraticForm([1, 1])
     with pytest.raises(NotInLieAlgebra):

@@ -180,7 +180,7 @@ def _gram_preserved(matrix: list, form: QuadraticForm) -> bool:
     f = form.field
     g = [[gi if i == j else f.zero for j, gi in enumerate(form.gram_diagonal())]
          for i in range(form.dim)]
-    mt = linalg.transpose(matrix)
+    mt = [list(col) for col in zip(*matrix)]
     return _mat_mul(_mat_mul(mt, g, f), matrix, f) == g
 
 

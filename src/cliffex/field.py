@@ -343,9 +343,6 @@ class FieldSpec:
             return x.inverse()
         return Fraction(1) / x
 
-    def is_zero(self, x) -> bool:
-        return not self._claim(x)
-
     def sign_of(self, x) -> int:
         """Sign in {-1, 0, 1}; defined only over an ordered field."""
         if not self.is_rational:

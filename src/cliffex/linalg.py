@@ -4,9 +4,9 @@ Both engines eliminate on integer rows, integers over the rationals and
 residues over F_p, behind one boundary: rows of field elements are scaled
 to ints (``_integer_rows``, ``_integer_system``) and field elements are
 built only from the results (``_quotients``).  Callers that hold integer
-rows (translation operators, centralizer and pairing-axiom systems) pass
-them straight in.  The dense core, ``_eliminate``, is Bareiss's
-fraction-free recurrence and serves determinants, solves and inverses.
+rows (translation operators and pairing-axiom systems) pass them straight
+in.  The dense core, ``_eliminate``, is Bareiss's fraction-free recurrence
+and serves determinants, solves and inverses.
 The sparse core, ``_sparse_rref``, reduces ``{column: int}`` rows with one
 or two entries each and is reached through :func:`affine_space`.
 """

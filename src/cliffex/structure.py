@@ -7,7 +7,7 @@ infinitesimal isometries of the canonical pairing, and everything in this
 module works in its blade basis:
 
 * centers of the full algebra and of the Lie algebra, both by a closed
-  form and by solving the centralizer equations exactly;
+  form and by reading the diagonal centralizer equations blade by blade;
 * the Killing form, diagonal in the blade basis, each entry 4 m s where s
   is the blade's scalar square and m counts anticommuting basis blades of
   the Lie algebra;
@@ -26,7 +26,6 @@ from . import caps, linalg, reference
 from .core import (
     Multivector,
     QuadraticForm,
-    anticommute_parity,
     format_blade,
     reorder_parity,
     reverse_sign,
@@ -81,25 +80,28 @@ class CenterDescription:
 
 
 def _centralizer_kernel(form: QuadraticForm, masks: Sequence[int]) -> list:
-    """Elements of span{e_I : I in masks} commuting with every generator.
+    """Unit blades e_m, m in ``masks`` ascending, spanning the elements of
+    their span that commute with every generator, and so with the algebra.
 
-    Commuting with the n generators is enough: they generate the algebra,
-    so the kernel of these equations is the centralizer of the whole
-    algebra intersected with the span.
+    The system is diagonal: [x, e_g] = sum_m x_m [e_m, e_g], and [e_m, e_g]
+    = c e_(m xor g) with m -> m xor g injective, so x_m meets each g in an
+    equation c x_m = 0 of its own.  e_m is in the kernel when c, the
+    difference of the two ordered products read from the integer square
+    table, vanishes in the field for every g.
     """
+    p = form.field.p
     _, squares = form.square_table()
-    rows = []
-    for k in range(form.n):
-        gen_mask = 1 << k
-        # e_m g - g e_m is 2 e_m g when they anticommute, else 0; distinct m
-        # give distinct m xor g, so each equation has the one entry, d times
-        # 2 e_m g as an int from the square table.
-        for col, m in enumerate(masks):
-            if anticommute_parity(m, gen_mask):
-                s = 2 * squares[m & gen_mask]
-                rows.append({col: -s if reorder_parity(m, gen_mask) else s})
-    kernel = linalg.affine_space(rows, None, len(masks), form.field)[3]
-    return [form.multivector({m: vec[i] for i, m in enumerate(masks) if vec[i]}) for vec in kernel]
+    kernel = []
+    for m in masks:
+        for k in range(form.n):
+            g = 1 << k
+            s = squares[m & g]
+            c = (-s if reorder_parity(m, g) else s) - (-s if reorder_parity(g, m) else s)
+            if c % p if p else c:
+                break
+        else:
+            kernel.append(form.basis_blade(m))
+    return kernel
 
 
 def center(form: QuadraticForm, method: str = "closed_form") -> CenterDescription:

@@ -114,7 +114,7 @@ def test_a_lowered_cap_takes_effect_when_the_route_runs(monkeypatch):
         QuadraticForm([1, 1, 1])
 
 
-# Above every check's cap: the check name and the table entry that skips it.
+# Each capped check's name and the table entry that skips it above its value.
 SKIPPED_BY = {
     "centers": "CENTER_SOLVE",
     "killing": "KILLING_TRACE",
@@ -128,15 +128,23 @@ SKIPPED_BY = {
 
 
 @pytest.mark.parametrize(
-    "text, field", [("sig:11,0", "rational"), ("sig:12,0", "rational"), ("sig:12,0", "fp:7")]
+    "text, field",
+    [("sig:11,0", "rational"), ("sig:12,0", "rational"), ("sig:12,0", "fp:7"), ("sig:15,0", "rational")],
 )
 def test_checks_pass_above_every_cap(text, field):
-    results = run_checks(QuadraticForm.from_text(text, FieldSpec.from_text(field)), seed=0)
+    """Every check passes, and exactly the checks whose cap is below the rank
+    skip, naming the cap; rank 15 is above every entry of SKIPPED_BY."""
+    form = QuadraticForm.from_text(text, FieldSpec.from_text(field))
+    results = run_checks(form, seed=0)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     skipped = {r.name: r.detail for r in results if r.skipped}
     expected = {
-        name: f"{cap} capped at n = {TABLE[cap]}" for name, cap in SKIPPED_BY.items()
+        name: f"{cap} capped at n = {TABLE[cap]}"
+        for name, cap in SKIPPED_BY.items()
+        if TABLE[cap] < form.n
     }
+    if form.n == 15:
+        assert set(expected) == set(SKIPPED_BY)
     if field != "rational":
         expected["definiteness"] = "needs an ordered field"
         expected["classification"] = "table verification runs over the rationals"

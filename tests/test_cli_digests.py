@@ -3,7 +3,8 @@
 ``cli_digests.json`` holds one sha256 per invocation of the structure
 commands (``center``, ``lie``, ``killing``, ``decompose``, ``classify``, and
 ``check`` up to rank 4), in text and json, over Q, F_3 and F_7 at ranks 1-6
-plus forms with rational diagonals, and of the element commands ``invert``
+plus forms with rational diagonals, and ``center --method solve`` at ranks
+7-10 over the same three fields, and of the element commands ``invert``
 and ``info`` over Q and F_7 at ranks 2-6, on sparse units, a sparse zero
 divisor and a dense element, and of ``product``, ``involute`` (each kind),
 ``isometry`` (a rotor and a non-unit) and ``lie`` with a member and a
@@ -97,11 +98,16 @@ def invocations() -> list:
             rotor = "3/5 + 4/5*e12" if n > 1 else "-1"
             out += [["isometry", *base, g] for g in (rotor, "2 + e1")]
             out += [["lie", *base, x] for x in _lie_elements(n)]
+    # The exact centre solves past the ranks of the structure commands above.
+    for field in ("rational", "fp:3", "fp:7"):
+        for n in range(7, 11):
+            out.append(["center", "--form", f"sig:{n - n // 3},{n // 3}", "--field", field,
+                        "--method", "solve"])
     # Refusals above a cap are part of the surface too.
     out += [
-        ["center", "--form", "sig:11,0", "--method", "solve"],
+        ["center", "--form", "sig:15,0", "--method", "solve"],
         ["killing", "--form", "sig:9,0", "--method", "trace"],
-        ["classify", "--n", "11"],
+        ["classify", "--n", "15"],
     ]
     return [argv + fmt for argv in out for fmt in ([], ["--format", "json"])]
 

@@ -5,12 +5,14 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffex import (
     FieldSpec,
     QuadraticForm,
     ad_matrix,
     center,
+    checks,
     decompose,
     definiteness_report,
     in_lie_algebra,
@@ -25,6 +27,7 @@ from cliffex import (
     lie_center,
     lie_dimension,
     linalg,
+    structure,
     volume_commutation_report,
 )
 from cliffex.errors import (
@@ -178,6 +181,57 @@ def test_square_table_routes_on_rational_diagonals():
                 assert rec.square == sq
                 assert rec.value == killing_entry(form, rec.mask, rec.mask)
                 assert rec.value == form.field.element(4 * rec.anticommuting) * sq
+
+
+def _literal_centralizer_kernel(form, masks):
+    """The kernel of [x, e_g] = 0 for every generator e_g, x in the span of
+    ``masks``: one single-entry row e_m e_g - e_g e_m per (g, m), read from
+    ``blade_product``, solved by ``linalg.affine_space``."""
+    f = form.field
+    rows = []
+    for k in range(form.n):
+        g = 1 << k
+        for col, m in enumerate(masks):
+            rows.append({col: form.blade_product(m, g).coef - form.blade_product(g, m).coef})
+    int_rows, _ = linalg._integer_system(rows, [f.zero] * len(rows), f)
+    kernel = linalg.affine_space(int_rows, None, len(masks), f)[3]
+    return [form.multivector({m: v for m, v in zip(masks, vec) if v}) for vec in kernel]
+
+
+@st.composite
+def _nondegenerate_forms(draw):
+    field = draw(st.sampled_from((None, FieldSpec.prime(3), FieldSpec.prime(5), F7)))
+    if field is None:
+        entry = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+    else:
+        entry = st.integers(1, field.p - 1)
+    n = draw(st.integers(1, 7))
+    return QuadraticForm(draw(st.lists(entry, min_size=n, max_size=n)), field)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(_nondegenerate_forms())
+def test_centralizer_kernel_is_the_kernel_of_the_literal_system(form):
+    for masks in (range(form.dim), lie_blades(form)):
+        assert structure._centralizer_kernel(form, masks) == _literal_centralizer_kernel(form, masks)
+
+
+@pytest.mark.parametrize("field, zero", [(None, 0), (F7, 7)], ids=["Q", "F7"])
+def test_centre_solve_reads_the_commutator_coefficient_in_the_field(monkeypatch, field, zero):
+    """With the square-table entry of the empty mask read as ``zero``, which
+    is 0 in the field, e_m e_g = e_g e_m for every g outside m: the odd
+    blades look central, the solved centre grows and check_centers fails."""
+    form = QuadraticForm([1, -1, 2, 3], field)
+    square_table = QuadraticForm.square_table
+
+    def broken(self):
+        d, squares = square_table(self)
+        return d, (zero, *squares[1:])
+
+    monkeypatch.setattr(QuadraticForm, "square_table", broken)
+    assert center(form, method="solve").dimension > center(form).dimension
+    assert lie_center(form, method="solve").dimension > lie_center(form).dimension
+    assert not checks.check_centers(form).passed
 
 
 def test_definiteness_on_a_rational_positive_diagonal():

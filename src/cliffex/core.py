@@ -30,7 +30,6 @@ from .errors import (
     ParseError,
 )
 from .field import NUMBERS, RATIONAL, FieldElement, FieldSpec
-from .linalg import _quotients
 
 
 def reorder_parity(a: int, b: int) -> int:
@@ -99,10 +98,10 @@ class QuadraticForm:
     ``diag`` lists the values Q(e_i, e_i) for the n generators.  The
     generators then obey e_i * e_i = -q_i and e_i * e_j = -e_j * e_i for
     i != j.  All blade-product machinery hangs off this object, including
-    a per-form cache of the products of -q_i over index subsets.
+    the per-form integer table of the products of -q_i over index subsets.
     """
 
-    __slots__ = ("n", "diag", "field", "_sqf_cache", "_gram", "_neg_diag", "_squares")
+    __slots__ = ("n", "diag", "field", "_sqf_cache", "_gram", "_squares")
 
     def __init__(self, diag: Sequence, field: Optional[FieldSpec] = None):
         if field is None:
@@ -118,8 +117,7 @@ class QuadraticForm:
         self.n = len(entries)
         self.diag = entries
         self.field = field
-        self._neg_diag = tuple(-q for q in entries)
-        self._sqf_cache = {0: field.one}
+        self._sqf_cache: dict = {}
         self._gram: Optional[tuple] = None
         self._squares: Optional[tuple] = None
 
@@ -186,15 +184,13 @@ class QuadraticForm:
     # -- blade products --------------------------------------------------
 
     def square_factor(self, common: int) -> FieldElement:
-        """Product of -q_i over the indices in ``common`` (cached)."""
-        cache = self._sqf_cache
-        hit = cache.get(common)
-        if hit is not None:
-            return hit
-        low = common & -common
-        val = self.square_factor(common ^ low) * self._neg_diag[low.bit_length() - 1]
-        cache[common] = val
-        return val
+        """Product of -q_i over the indices in ``common``, read from
+        :meth:`square_table` and converted once per mask."""
+        hit = self._sqf_cache.get(common)
+        if hit is None:
+            d, squares = self.square_table()
+            hit = self._sqf_cache[common] = self.field.quotients((squares[common],), d)[0]
+        return hit
 
     def blade_product(self, a: int, b: int) -> BladeProduct:
         """Exact product of two basis blades given by mask."""
@@ -213,12 +209,12 @@ class QuadraticForm:
         if self._squares is None:
             p = self.field.p
             squares = [1]
-            for q in self._neg_diag:
+            for q in self.diag:
                 if p is None:
-                    num, den = q.numerator, q.denominator
+                    num, den = -q.numerator, q.denominator
                     squares = [s * den for s in squares] + [s * num for s in squares]
                 else:
-                    num = q.residue
+                    num = -q.residue
                     squares += [s * num % p for s in squares]
             d = 1 if p is not None else prod(q.denominator for q in self.diag)
             self._squares = (d, tuple(squares))
@@ -238,7 +234,7 @@ class QuadraticForm:
         if self._gram is None:
             d, squares = self.square_table()
             signed = [-s if m.bit_count() & 1 else s for m, s in enumerate(squares)]
-            self._gram = tuple(_quotients(signed, d, self.field))
+            self._gram = tuple(self.field.quotients(signed, d))
         return self._gram
 
     # -- element constructors --------------------------------------------
@@ -619,40 +615,30 @@ def parse_multivector(text: str, form: QuadraticForm) -> Multivector:
     return Multivector._make(form, tuple(coeffs))
 
 
+def join_terms(parts: Sequence) -> str:
+    """Inverse of :func:`split_terms`: the (sign, term) pairs as one sum,
+    with a leading sign only when the first term is negative; no terms
+    give ``0``."""
+    if not parts:
+        return "0"
+    (sign, term), rest = parts[0], parts[1:]
+    return ("-" if sign < 0 else "") + term + "".join(
+        (" - " if s < 0 else " + ") + t for s, t in rest
+    )
+
+
 def format_multivector(x: Multivector) -> str:
     """Render in the grammar that :func:`parse_multivector` accepts.
 
     Terms are emitted in ascending mask order; the zero element prints as
-    ``0``.  Formatting then parsing is the identity on values.
+    ``0``.  Over F_p a coefficient prints as its residue, so no term is
+    negative.  Formatting then parsing is the identity on values.
     """
     form = x.form
-    field = form.field
     parts = []
     for mask, c in x.terms():
+        mag = c if form.field.is_rational else c.residue
+        sign, mag = (-1, -mag) if mag < 0 else (1, mag)
         blade = format_blade(mask, form.n)
-        if field.is_rational:
-            negative = c < 0
-            mag = -c if negative else c
-            if mask == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = blade
-            else:
-                body = f"{mag}*{blade}"
-        else:
-            negative = False
-            r = c.residue
-            if mask == 0:
-                body = str(r)
-            elif r == 1:
-                body = blade
-            else:
-                body = f"{r}*{blade}"
-        parts.append((negative, body))
-    if not parts:
-        return "0"
-    first_neg, first_body = parts[0]
-    out = ("-" if first_neg else "") + first_body
-    for negative, body in parts[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
+        parts.append((sign, str(mag) if mask == 0 else blade if mag == 1 else f"{mag}*{blade}"))
+    return join_terms(parts)

@@ -5,7 +5,9 @@ precision rationals (``fractions.Fraction``) and prime fields of odd
 characteristic (:class:`Fp`).  A :class:`FieldSpec` value names the field,
 builds canonical elements, parses and formats them, and exposes a small
 arithmetic facade that rejects cross-field mixing loudly instead of letting
-Python's numeric coercion guess.
+Python's numeric coercion guess.  It also owns the one boundary with the
+integer engines: :meth:`FieldSpec.scaled` turns field elements into ints
+and :meth:`FieldSpec.quotients` turns ints back into field elements.
 
 Characteristic 2 is refused everywhere: the constructions downstream divide
 by 2 freely (polarization, averaging over an involution), so a field where
@@ -16,8 +18,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from numbers import Number
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import (
     EvenCharacteristic,
@@ -320,6 +323,27 @@ class FieldSpec:
     def format(self, x: FieldElement) -> str:
         x = self._claim(x)
         return str(x)
+
+    # -- the integer boundary --------------------------------------------
+
+    def scaled(self, values: Sequence) -> tuple:
+        """``(ints, mult)``: the field elements ``values`` times ``mult`` as ints.
+
+        Over Q (ints or fractions), mult is the lcm of the denominators; over
+        F_p the ints are the residues and mult is 1.
+        """
+        if self.p is not None:
+            return [self.element(v).residue for v in values], 1
+        mult = lcm(*(v.denominator for v in values))
+        return [v.numerator * (mult // v.denominator) for v in values], mult
+
+    def quotients(self, nums: Sequence[int], den: int) -> list:
+        """The field elements v / den for the ints v in ``nums``; den != 0 in the field."""
+        p = self.p
+        if p is None:
+            return [Fraction(v, den) for v in nums]
+        inv = pow(den, -1, p)
+        return [Fp(v * inv, p) for v in nums]
 
     # -- arithmetic facade (strict: no silent cross-field coercion) ------
 

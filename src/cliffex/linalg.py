@@ -1,23 +1,23 @@
 """Exact linear algebra over a :class:`~cliffex.field.FieldSpec`.
 
 Both engines eliminate on integer rows, integers over the rationals and
-residues over F_p, behind one boundary: rows of field elements are scaled
-to ints (``_integer_rows``, ``_integer_system``) and field elements are
-built only from the results (``_quotients``).  Callers that hold integer
-rows (translation operators and pairing-axiom systems) pass them straight
-in.  The dense core, ``_eliminate``, is Bareiss's fraction-free recurrence
-and serves determinants, solves and inverses.
+residues over F_p.  The boundary with field elements belongs to the field:
+rows of field elements are scaled to ints by :meth:`FieldSpec.scaled` and
+field elements are built only from the results by
+:meth:`FieldSpec.quotients`.  Callers that hold integer rows (translation
+operators and pairing-axiom systems) pass them straight in.  The dense
+core, ``_eliminate``, is Bareiss's fraction-free recurrence and serves
+determinants, solves and inverses.
 The sparse core, ``_sparse_rref``, reduces ``{column: int}`` rows with one
 or two entries each and is reached through :func:`affine_space`.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-from typing import Optional, Sequence
+from math import gcd
+from typing import Optional
 
 from .errors import DimensionMismatch
-from .field import FieldElement, FieldSpec, Fp
+from .field import FieldElement, FieldSpec
 
 Matrix = list  # list[list[FieldElement]] by convention
 
@@ -110,18 +110,6 @@ def _eliminate(rows: list, n: int, p: Optional[int]) -> tuple:
     return det, ys
 
 
-def _scaled_row(values: Sequence, field: FieldSpec) -> tuple:
-    """``(ints, mult)``: the field elements ``values`` times ``mult`` as ints.
-
-    Over Q (ints or fractions), mult is the lcm of the denominators; over
-    F_p the ints are the residues and mult is 1.
-    """
-    if field.p is not None:
-        return [field.element(v).residue for v in values], 1
-    mult = lcm(*(v.denominator for v in values))
-    return [v.numerator * (mult // v.denominator) for v in values], mult
-
-
 def _integer_rows(a: Matrix, rhs: Matrix, field: FieldSpec) -> tuple:
     """The rows of ``[a | rhs]`` as ints for :func:`_eliminate`, and their
     scale, the product of the row multipliers, so det a = det / scale."""
@@ -131,47 +119,26 @@ def _integer_rows(a: Matrix, rhs: Matrix, field: FieldSpec) -> tuple:
     rows = []
     scale = 1
     for row, extra in zip(a, rhs):
-        ints, mult = _scaled_row([*row, *extra], field)
+        ints, mult = field.scaled([*row, *extra])
         rows.append(ints)
         scale *= mult
     return rows, scale
 
 
-def _quotients(nums: Sequence[int], den: int, field: FieldSpec) -> list:
-    """The field elements v / den for the ints v in ``nums``; den != 0 in the field."""
-    p = field.p
-    if p is None:
-        return [Fraction(v, den) for v in nums]
-    inv = pow(den, -1, p)
-    return [Fp(v * inv, p) for v in nums]
-
-
 def determinant(rows: Matrix, field: FieldSpec) -> FieldElement:
     """Exact determinant of a square matrix over ``field``."""
     m, scale = _integer_rows(rows, [[] for _ in rows], field)
-    return _quotients([_eliminate(m, len(m), field.p)[0]], scale, field)[0]
+    return field.quotients([_eliminate(m, len(m), field.p)[0]], scale)[0]
 
 
 def invert_matrix(a: Matrix, field: FieldSpec) -> Optional[Matrix]:
     """Exact inverse of a square matrix; None when singular."""
     rows, _ = _integer_rows(a, identity_matrix(len(a), field), field)
     det, ys = _eliminate(rows, len(rows), field.p)
-    return None if ys is None else [_quotients(y, det, field) for y in ys]
+    return None if ys is None else [field.quotients(y, det) for y in ys]
 
 
 # -- sparse reduction ----------------------------------------------------
-
-
-def _integer_system(rows: list, rhs: Sequence, field: FieldSpec) -> tuple:
-    """Sparse rows ``{col: field element}`` and their right-hand sides as
-    int rows and ints for :func:`_sparse_rref`, each row scaled with its
-    right-hand side as in :func:`_scaled_row`; no solution changes."""
-    int_rows, int_rhs = [], []
-    for row, b in zip(rows, rhs):
-        ints, _ = _scaled_row([b, *row.values()], field)
-        int_rhs.append(ints[0])
-        int_rows.append(dict(zip(row, ints[1:])))
-    return int_rows, int_rhs
 
 
 def _cancel(row: dict, r: int, col: int, other: dict, other_r: int, p: Optional[int]) -> int:
@@ -274,7 +241,7 @@ def _kernel(pivot_rows: dict, ncols: int, field: FieldSpec) -> list:
         for pc, prow in pivot_rows.items():
             coef = prow.get(free)
             if coef:
-                vec[pc] = _quotients((-coef,), prow[pc], field)[0]
+                vec[pc] = field.quotients((-coef,), prow[pc])[0]
         basis.append(vec)
     return basis
 
@@ -286,7 +253,7 @@ def _particular(pivot_rows: dict, pivot_rhs: dict, inconsistent: bool, ncols: in
         return None, nullity, False
     vec = [field.zero] * ncols
     for pc, prow in pivot_rows.items():
-        vec[pc] = _quotients((pivot_rhs[pc],), prow[pc], field)[0]
+        vec[pc] = field.quotients((pivot_rhs[pc],), prow[pc])[0]
     return vec, nullity, True
 
 
@@ -294,8 +261,9 @@ def affine_space(rows: list, rhs: Optional[list], ncols: int, field: FieldSpec) 
     """Solve the sparse system ``A x = b`` in ``ncols`` unknowns over ``field``.
 
     ``rows`` are integer rows ``{col: int}`` and ``rhs`` their int
-    right-hand sides, or None for a homogeneous system; rows of field
-    elements go through :func:`_integer_system` first.  Returns
+    right-hand sides, or None for a homogeneous system; a row of field
+    elements is scaled to ints with its right-hand side by
+    :meth:`FieldSpec.scaled` first, which changes no solution.  Returns
     ``(solution, nullity, consistent, kernel)`` from one reduction: the
     solution (free unknowns 0) is None when the system is inconsistent,
     and the kernel holds one dense vector per free column, in ascending
@@ -305,14 +273,3 @@ def affine_space(rows: list, rhs: Optional[list], ncols: int, field: FieldSpec) 
     """
     reduced = _sparse_rref(rows, field.p, rhs)
     return (*_particular(*reduced, ncols, field), _kernel(reduced[0], ncols, field))
-
-
-def in_span(vectors: list, target: Sequence[FieldElement], field: FieldSpec) -> bool:
-    """True when ``target`` is a linear combination of ``vectors``.
-
-    Treats each vector as a column of a (dense coordinates, sparse storage)
-    system and solves for the combination exactly.
-    """
-    rows = [{j: vec[i] for j, vec in enumerate(vectors) if vec[i]} for i in range(len(target))]
-    int_rows, rhs = _integer_system(rows, target, field)
-    return not _sparse_rref(int_rows, field.p, rhs)[2]

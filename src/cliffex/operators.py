@@ -10,7 +10,6 @@ how far the axioms of the canonical pairing pin it down in low dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import lcm
 from typing import Optional
 
 from . import caps, linalg
@@ -42,15 +41,11 @@ def _translation_matrix(a: Multivector, left: bool) -> tuple:
     dim = form.dim
     p = form.field.p
     d, squares = form.square_table()
-    if p is None:
-        d_a = lcm(*(c.denominator for _, c in a.terms()))
-        terms = [(m, c.numerator * (d_a // c.denominator)) for m, c in a.terms()]
-        scale, neg = d_a * d, 0
-    else:
-        terms = [(m, c.residue) for m, c in a.terms()]
-        scale, neg = 1, p
+    masks = a.support()
+    ints, d_a = form.field.scaled([a.coeffs[m] for m in masks])
+    scale, neg = d_a * d, p or 0
     rows = [[0] * dim for _ in range(dim)]
-    for mi, ci in terms:
+    for mi, ci in zip(masks, ints):
         w = sum(
             1 << b
             for b in range(form.n)
@@ -68,7 +63,7 @@ def _field_matrix(a: Multivector, left: bool) -> list:
     distinct cell value converted once."""
     rows, scale = _translation_matrix(a, left)
     values = list({v for row in rows for v in row})
-    cells = dict(zip(values, linalg._quotients(values, scale, a.form.field)))
+    cells = dict(zip(values, a.form.field.quotients(values, scale)))
     return [[cells[v] for v in row] for row in rows]
 
 
@@ -97,7 +92,7 @@ def translation_determinants(a: Multivector) -> tuple:
     rows, scale = _translation_matrix(a, True)
     dim = a.form.dim
     det = linalg._eliminate(rows, dim, a.form.field.p)[0]
-    value = linalg._quotients((det,), scale**dim, a.form.field)[0]
+    value = a.form.field.quotients((det,), scale**dim)[0]
     return value, value
 
 
@@ -133,7 +128,7 @@ def inverse(a: Multivector) -> Multivector:
     det, ys = linalg._eliminate(rows, form.dim, form.field.p)
     if ys is None:
         raise NotInvertible("zero divisor")
-    inv = form.multivector(linalg._quotients([row[0] for row in ys], det, form.field))
+    inv = form.multivector(form.field.quotients([row[0] for row in ys], det))
     if a * inv != form.one() or inv * a != form.one():
         raise InternalInconsistency("one-sided inverse failed the two-sided check")
     return inv
@@ -303,12 +298,16 @@ def pairing_uniqueness_report(
 
     unknowns = dim * (dim + 1) // 2
     # B(1, 1) = 1 and B on grade one is the form, as integer rows.
-    grade_one = [(i, j) for i in range(form.n) for j in range(i, form.n)]
-    rows, rhs = linalg._integer_system(
-        [{unknown(0, 0): 1}] + [{unknown(1 << i, 1 << j): 1} for i, j in grade_one],
-        [1] + [form.diag[i] if i == j else 0 for i, j in grade_one],
-        f,
-    )
+    rows, rhs = [], []
+    fixed = [(unknown(0, 0), 1)] + [
+        (unknown(1 << i, 1 << j), form.diag[i] if i == j else 0)
+        for i in range(form.n)
+        for j in range(i, form.n)
+    ]
+    for key, b in fixed:
+        (r, c), _ = f.scaled([b, 1])
+        rows.append({key: c})
+        rhs.append(r)
 
     if require_parity_invariance:
         # B(alpha(e_a), alpha(e_b)) = B(e_a, e_b) forces the entry to zero
@@ -365,7 +364,7 @@ def pairing_uniqueness_report(
         full = form.full_mask
         gen = [v for row in kernel[0] for v in row]
         tw = [f.zero] * (dim * dim)
-        for b, num in enumerate(linalg._quotients(prods[full], d, f)):
+        for b, num in enumerate(f.quotients(prods[full], d)):
             tw[(full ^ b) * dim + b] = num * gram[full ^ b]
         i = next(i for i, v in enumerate(gen) if v)
         ratio = f.div(gen[i], tw[i]) if tw[i] else None

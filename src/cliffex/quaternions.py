@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .core import Multivector, QuadraticForm, split_terms
+from .core import Multivector, QuadraticForm, join_terms, split_terms
 from .errors import (
     DimensionMismatch,
     InversionOfZero,
@@ -232,24 +232,10 @@ def format_quaternion(q: Quaternion) -> str:
     """Render as ``a + bi + cj + dk`` dropping zero components."""
     parts = []
     for comp, unit in zip(q.components(), _UNIT_ORDER):
-        if not comp:
-            continue
-        neg = comp < 0
-        mag = -comp if neg else comp
-        if unit and mag == 1:
-            body = unit
-        elif unit:
-            body = f"{mag}{unit}"
-        else:
-            body = str(mag)
-        parts.append((neg, body))
-    if not parts:
-        return "0"
-    neg, body = parts[0]
-    out = ("-" if neg else "") + body
-    for neg, body in parts[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+        if comp:
+            sign, mag = (-1, -comp) if comp < 0 else (1, comp)
+            parts.append((sign, unit if unit and mag == 1 else f"{mag}{unit}"))
+    return join_terms(parts)
 
 
 _QTERM = re.compile(r"^([+-]?\d+(?:/\d+)?)?\s*\*?\s*([ijk]?)$")

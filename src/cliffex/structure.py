@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
-from . import caps, linalg, reference
+from . import caps, reference
 from .core import (
     Multivector,
     QuadraticForm,
@@ -38,6 +38,7 @@ from .errors import (
     ZeroElement,
 )
 from .field import FieldElement
+from .operators import _translation_matrix
 
 
 def is_lie_blade(mask: int) -> bool:
@@ -186,7 +187,7 @@ def _killing_entries(form: QuadraticForm, masks: Sequence[int]) -> list:
         s = squares[mask] * reverse_sign(mask)
         entry = seen.get((m, s))
         if entry is None:
-            sq = linalg._quotients((s,), d, f)[0]
+            sq = f.quotients((s,), d)[0]
             entry = seen[m, s] = (m, sq, f.element(4 * m) * sq)
         out.append(entry)
     return out
@@ -439,8 +440,6 @@ def _preserves_gram(g: Multivector, left: bool) -> bool:
     when b = a and 0 otherwise.  Column by column, visiting only the
     nonzeros (see the README's design notes), and the first mismatch returns.
     """
-    from .operators import _translation_matrix
-
     form = g.form
     p = form.field.p
     rows, c = _translation_matrix(g, left)

@@ -5,6 +5,7 @@ import pytest
 
 from cliffex import QuadraticForm, caps, run_checks, structure
 from cliffex.checks import (
+    check_centers,
     check_decomposition,
     check_gram,
     check_killing,
@@ -171,6 +172,29 @@ def test_decomposition_check_rejects_altered_results(monkeypatch):
             bad = dataclasses.replace(dec, **change)
             monkeypatch.setattr(structure, "decompose", lambda f, bad=bad: bad)
             assert not check_decomposition(form).passed, change
+            monkeypatch.undo()
+
+
+def test_centers_check_compares_the_solved_blades(monkeypatch):
+    """A solved basis of the same dimension passes only when it is the
+    closed-form blades, up to scale: a sum of them, another blade or a
+    repeated blade fails."""
+    center = structure.center
+    for form in (QuadraticForm([1, -2, 3], RATIONAL), QuadraticForm([1, 2, -1, 3, 5], FieldSpec.prime(7))):
+        one, top = form.one(), form.volume_element()
+        assert check_centers(form).passed
+        for basis, passes in (
+            ((one * 2, top * 3), True),
+            ((one + top, top), False),
+            ((one, form.generator(1)), False),
+            ((top, top), False),
+        ):
+            def solved(f, method="closed_form", basis=basis):
+                desc = center(f, method)
+                return dataclasses.replace(desc, basis=basis) if method == "solve" else desc
+
+            monkeypatch.setattr(structure, "center", solved)
+            assert check_centers(form).passed == passes, basis
             monkeypatch.undo()
 
 

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffex import RATIONAL, Fp, FieldSpec
 from cliffex.errors import (
@@ -133,3 +134,41 @@ def test_facade_is_strict_about_ownership():
         f7.add(Fp(1, 7), Fraction(1))
     with pytest.raises(MixedFieldSpec):
         RATIONAL.mul(Fraction(1), Fp(1, 7))
+
+
+# -- the integer boundary ------------------------------------------------
+
+BOUNDARY_PRIMES = (3, 7, 101)
+
+
+@st.composite
+def _boundary_values(draw):
+    """``(field, values)``: ints and fractions over Q, or residues, ints and
+    unit-denominator fractions over F_3, F_7 and F_101; lists may be empty."""
+    p = draw(st.sampled_from((None,) + BOUNDARY_PRIMES))
+    ints = st.integers(-10**6, 10**6)
+    if p is None:
+        return RATIONAL, draw(st.lists(ints | st.fractions(max_denominator=10**4), max_size=8))
+    value = ints | ints.map(lambda k: Fp(k, p)) | ints.map(Fraction)
+    return FieldSpec.prime(p), draw(st.lists(value, max_size=8))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(case=_boundary_values())
+def test_scaled_ints_come_back_as_the_same_elements(case):
+    f, values = case
+    ints, mult = f.scaled(values)
+    assert all(type(v) is int for v in ints) and type(mult) is int and mult > 0
+    if f.p:
+        assert mult == 1 and all(0 <= v < f.p for v in ints)
+    back = f.quotients(ints, mult)
+    assert back == [f.element(v) for v in values]
+    assert all(f.owns(v) for v in back)
+
+
+def test_scaled_round_trips_the_empty_list_and_refuses_a_foreign_residue():
+    assert RATIONAL.scaled([]) == ([], 1)
+    assert RATIONAL.quotients([], 1) == []
+    for p in BOUNDARY_PRIMES:
+        with pytest.raises(MixedFieldSpec):
+            FieldSpec.prime(p).scaled([1, Fp(1, 5)])

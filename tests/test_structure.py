@@ -44,6 +44,7 @@ from cliffex.reference import (
     random_isometry,
     random_multivector,
 )
+from test_linalg import _scaled_system
 
 SEED = 31415
 F7 = FieldSpec.prime(7)
@@ -147,10 +148,13 @@ def test_solved_centers_agree_with_closed_form():
                 closed = fn(form, method="closed_form")
                 solved = fn(form, method="solve")
                 assert closed.dimension == solved.dimension
-                # Same subspace, not just the same dimension.
-                coords = [list(b.coeffs) for b in closed.basis]
-                for b in solved.basis:
-                    assert linalg.in_span(coords, list(b.coeffs), form.field)
+                # Same subspace, not just the same dimension: the closed-form
+                # basis is unit blades, and the solved basis is the same
+                # blades, each a single term.
+                assert all(len(b.support()) == 1 for b in closed.basis)
+                assert sorted(b.support() for b in solved.basis) == sorted(
+                    b.support() for b in closed.basis
+                )
 
 
 # Diagonals with denominators, so the square table's scale d is not 1;
@@ -172,7 +176,11 @@ def test_square_table_routes_on_rational_diagonals():
             if field is None:
                 assert d == prod(Fraction(q).denominator for q in diag) > 1
             for mask in range(form.dim):
-                assert form.field.element(Fraction(squares[mask], d)) == form.square_factor(mask)
+                # square_factor reads the table, so both meet the product
+                # of -q_i over the mask, taken straight from the diagonal.
+                want = prod((-q for i, q in enumerate(form.diag) if mask >> i & 1), start=form.field.one)
+                assert form.field.element(Fraction(squares[mask], d)) == want
+                assert form.square_factor(mask) == want
             for fn in (center, lie_center):
                 solved = fn(form, method="solve")
                 assert solved == dataclasses.replace(fn(form), method="solve")
@@ -193,7 +201,7 @@ def _literal_centralizer_kernel(form, masks):
         g = 1 << k
         for col, m in enumerate(masks):
             rows.append({col: form.blade_product(m, g).coef - form.blade_product(g, m).coef})
-    int_rows, _ = linalg._integer_system(rows, [f.zero] * len(rows), f)
+    int_rows, _ = _scaled_system(rows, [f.zero] * len(rows), f)
     kernel = linalg.affine_space(int_rows, None, len(masks), f)[3]
     return [form.multivector({m: v for m, v in zip(masks, vec) if v}) for vec in kernel]
 

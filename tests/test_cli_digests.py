@@ -1,17 +1,20 @@
 """CLI output pinned by digest: stdout, stderr and exit code of each invocation.
 
 ``cli_digests.json`` holds one sha256 per invocation of the structure
-commands (``center``, ``lie``, ``killing``, ``decompose``, ``classify``, and
-``check`` up to rank 4), in text and json, over Q, F_3 and F_7 at ranks 1-6
-plus forms with rational diagonals, and ``center --method solve`` at ranks
-7-10 over the same three fields, and of the element commands ``invert``
-and ``info`` over Q and F_7 at ranks 2-6, on sparse units, a sparse zero
-divisor and a dense element, and of ``product``, ``involute`` (each kind),
-``isometry`` (a rotor and a non-unit) and ``lie`` with a member and a
-non-member over Q and F_7 at ranks 1-6.  A change that is meant to keep the CLI
-byte-identical must leave every digest as it is.  After a deliberate change
-of output, regenerate the file with ``python tests/test_cli_digests.py``
-(with the package importable) and review the diff.
+commands (``center``, ``lie``, ``killing``, ``decompose``, ``info`` without
+an element and on 0, and ``check``), in text and json, over Q, F_3 and F_7 at
+ranks 1-6 plus forms with rational diagonals, ``check`` also at ranks 7 and
+8 (ranks 5-8 reach every sampling tier of ``checks.py``) and with
+``--seed 5`` at ranks 5 and 7, and ``center --method solve`` at ranks 7-10
+over the same three fields, and of the element commands ``invert`` and
+``info`` over Q and F_7 at ranks 1-6, on sparse units, a sparse zero divisor
+and a dense element (at rank 1 the blades past e1 are refused), and of
+``product``, ``involute`` (each kind), ``isometry`` (a rotor and a non-unit)
+and ``lie`` with a member and a non-member over Q and F_7 at ranks 1-6.  A
+change that is meant to keep the CLI byte-identical must leave every digest
+as it is.  After a deliberate change of output, regenerate the file with
+``python tests/test_cli_digests.py`` (with the package importable) and
+review the diff.
 """
 import contextlib
 import hashlib
@@ -22,7 +25,7 @@ from pathlib import Path
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
 
-CHECK_RANK = 4
+CHECK_RANK = 8
 RATIONAL_DIAGONALS = ("diag:1/2,3,-2/5", "diag:-3/4,5,2/7,-1,1/3")
 
 
@@ -79,13 +82,21 @@ def invocations() -> list:
             ["killing", *base],
             ["killing", *base, "--method", "trace"],
             ["decompose", *base],
+            ["info", *base],
+            ["info", *base, "0"],
+            ["check", *base],
         ]
-        if n <= CHECK_RANK:
-            commands.append(["check", *base])
         out += commands
     out += [["classify", "--n", str(n)] for n in range(1, 7)]
+    # The sampling tiers of the checks, and a second seed.
+    for field in ("rational", "fp:3", "fp:7"):
+        for n in range(7, CHECK_RANK + 1):
+            out.append(["check", "--form", f"sig:{n - n // 3},{n // 3}", "--field", field])
+        for n in (5, 7):
+            out.append(["check", "--form", f"sig:{n - n // 3},{n // 3}", "--field", field,
+                        "--seed", "5"])
     for field in ("rational", "fp:7"):
-        for n in range(2, 7):
+        for n in range(1, 7):
             base = ["--form", f"sig:{n - n // 3},{n // 3}", "--field", field]
             out += [[cmd, *base, x] for x in _elements(n) for cmd in ("invert", "info")]
     for field in ("rational", "fp:7"):

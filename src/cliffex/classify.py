@@ -153,10 +153,7 @@ def verify_classification(n: int) -> ClassificationReport:
     algebra = matrix_algebra_of(n)
     group = isometry_group_of(n)
 
-    lie_dim = CheckPair(group.dimension(), structure.lie_dimension(n))
-    blade_count = len(structure.lie_blades(form))
-    if blade_count != lie_dim.got:
-        lie_dim = CheckPair(group.dimension(), blade_count)
+    lie_dim = CheckPair(group.dimension(), len(structure.lie_blades(form)))
 
     solved = structure.lie_center(form, method="solve")
     center_dim = CheckPair(expected_lie_center_dim(n), solved.dimension)

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import caps, classify, operators, structure
-from .checks import run_checks
+from .checks import _same_blades, run_checks
 from .core import QuadraticForm
 from .errors import CliffexError
 from .field import FieldSpec
@@ -71,23 +71,14 @@ OPERATION_COMMAND = {
 }
 
 
-def _add_common(sub, form_required=True):
-    sub.add_argument("--form", required=form_required, help="form literal: diag:1,1,-1 or sig:r,s")
+def _add_common(sub):
+    sub.add_argument("--form", required=True, help="form literal: diag:1,1,-1 or sig:r,s")
     sub.add_argument("--field", default="rational", help="field literal: rational or fp:P")
     sub.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
 
 
-def _build_form(args) -> QuadraticForm:
-    field = FieldSpec.from_text(args.field)
-    return QuadraticForm.from_text(args.form, field)
-
-
-def _emit(args, text_lines, obj) -> None:
-    if args.fmt == "json":
-        print(json.dumps(obj))
-    else:
-        for line in text_lines:
-            print(line)
+def _yes(flag) -> str:
+    return "yes" if flag else "no"
 
 
 def _center_obj(desc) -> dict:
@@ -115,47 +106,29 @@ def _matrix_obj(rows, field) -> dict:
 
 
 # -- handlers ------------------------------------------------------------
+# Each takes the parsed arguments and the form of --form over --field (None
+# for classify) and returns (text lines, JSON object), plus an exit code for
+# check; main prints one of the two.
 
 
-def _cmd_product(args) -> int:
-    form = _build_form(args)
-    x = form.parse(args.x)
-    y = form.parse(args.y)
-    result = x * y
-    _emit(
-        args,
-        [str(result)],
-        {"form": form.to_text(), "field": form.field.to_text(), "result": str(result)},
-    )
-    return 0
+def _cmd_product(args, form):
+    result = form.parse(args.x) * form.parse(args.y)
+    obj = {"form": form.to_text(), "field": form.field.to_text(), "result": str(result)}
+    return [str(result)], obj
 
 
-def _cmd_involute(args) -> int:
-    form = _build_form(args)
-    x = form.parse(args.x)
-    result = x.involution(args.kind)
-    _emit(
-        args,
-        [str(result)],
-        {"form": form.to_text(), "kind": args.kind, "result": str(result)},
-    )
-    return 0
+def _cmd_involute(args, form):
+    result = form.parse(args.x).involution(args.kind)
+    return [str(result)], {"form": form.to_text(), "kind": args.kind, "result": str(result)}
 
 
-def _cmd_invert(args) -> int:
-    form = _build_form(args)
+def _cmd_invert(args, form):
     x = form.parse(args.x)
     inv = operators.inverse(x)
-    _emit(
-        args,
-        [str(inv)],
-        {"form": form.to_text(), "input": str(x), "inverse": str(inv)},
-    )
-    return 0
+    return [str(inv)], {"form": form.to_text(), "input": str(x), "inverse": str(inv)}
 
 
-def _cmd_info(args) -> int:
-    form = _build_form(args)
+def _cmd_info(args, form):
     f = form.field
     obj = {
         "n": form.n,
@@ -198,24 +171,19 @@ def _cmd_info(args) -> int:
                 f"self pairing: {elem['self_pairing']}",
                 f"left det: {elem['left_det']}",
                 f"right det: {elem['right_det']}",
-                f"zero divisor: {'yes' if elem['zero_divisor'] else 'no'}",
+                f"zero divisor: {_yes(elem['zero_divisor'])}",
             ]
-    _emit(args, lines, obj)
-    return 0
+    return lines, obj
 
 
-def _cmd_center(args) -> int:
-    form = _build_form(args)
+def _cmd_center(args, form):
     closed = structure.center(form, method="closed_form")
     lie_closed = structure.lie_center(form, method="closed_form")
     agree = None
     if args.method in ("solve", "both") and not caps.over("CENTER_SOLVE", form.n):
         solved = structure.center(form, method="solve")
         lie_solved = structure.lie_center(form, method="solve")
-        agree = (
-            solved.dimension == closed.dimension
-            and lie_solved.dimension == lie_closed.dimension
-        )
+        agree = _same_blades(solved, closed) and _same_blades(lie_solved, lie_closed)
         if args.method == "solve":
             closed, lie_closed = solved, lie_solved
     obj = {
@@ -225,19 +193,15 @@ def _cmd_center(args) -> int:
         "methods_agree": agree,
     }
     lines = [
-        f"center: dim {closed.dimension}, basis [" + ", ".join(str(b) for b in closed.basis) + "]",
-        f"lie center: dim {lie_closed.dimension}, basis ["
-        + ", ".join(str(b) for b in lie_closed.basis)
-        + "]",
+        f"{label}: dim {desc.dimension}, basis [" + ", ".join(str(b) for b in desc.basis) + "]"
+        for label, desc in (("center", closed), ("lie center", lie_closed))
     ]
     if agree is not None:
-        lines.append(f"methods agree: {'yes' if agree else 'no'}")
-    _emit(args, lines, obj)
-    return 0
+        lines.append(f"methods agree: {_yes(agree)}")
+    return lines, obj
 
 
-def _cmd_lie(args) -> int:
-    form = _build_form(args)
+def _cmd_lie(args, form):
     obj = {
         "n": form.n,
         "lie_dim": structure.lie_dimension(form.n),
@@ -246,13 +210,11 @@ def _cmd_lie(args) -> int:
     lines = [f"lie dimension: {obj['lie_dim']}", "blades: " + " ".join(obj["blades"])]
     if args.x is not None:
         obj["member"] = structure.in_lie_algebra(form.parse(args.x))
-        lines.append(f"member: {'yes' if obj['member'] else 'no'}")
-    _emit(args, lines, obj)
-    return 0
+        lines.append(f"member: {_yes(obj['member'])}")
+    return lines, obj
 
 
-def _cmd_killing(args) -> int:
-    form = _build_form(args)
+def _cmd_killing(args, form):
     records = structure.killing_form(form, method=args.method)
     f = form.field
     obj = {
@@ -265,12 +227,10 @@ def _cmd_killing(args) -> int:
         f"{r.blade}: m={r.anticommuting} square={f.format(r.square)} B={f.format(r.value)}"
         for r in records
     ]
-    _emit(args, lines, obj)
-    return 0
+    return lines, obj
 
 
-def _cmd_decompose(args) -> int:
-    form = _build_form(args)
+def _cmd_decompose(args, form):
     f = form.field
     dec = structure.decompose(form)
     center_desc = structure.center(form, method="closed_form")
@@ -299,23 +259,21 @@ def _cmd_decompose(args) -> int:
         f"center: dim {center_desc.dimension}",
         f"lie center: dim {lie_center_desc.dimension}",
         f"ideal dimension: {len(dec.ideal_masks)}",
-        f"bracket closed: {'yes' if dec.bracket_closed else 'no'}",
-        f"killing nondegenerate on ideal: {'yes' if dec.killing_nondegenerate_on_ideal else 'no'}",
+        f"bracket closed: {_yes(dec.bracket_closed)}",
+        f"killing nondegenerate on ideal: {_yes(dec.killing_nondegenerate_on_ideal)}",
     ]
-    _emit(args, lines, obj)
-    return 0
+    return lines, obj
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, form):
     rep = classify.verify_classification(args.n)
+    pairs = {"lie_dim": rep.lie_dim, "center_dim": rep.center_dim, "algebra_dim": rep.algebra_dim}
     obj = {
         "n": rep.n,
         "algebra": rep.algebra.describe(),
         "group": rep.group.describe(),
         "checks": {
-            "lie_dim": {"expected": rep.lie_dim.expected, "got": rep.lie_dim.got},
-            "center_dim": {"expected": rep.center_dim.expected, "got": rep.center_dim.got},
-            "algebra_dim": {"expected": rep.algebra_dim.expected, "got": rep.algebra_dim.got},
+            **{key: {"expected": c.expected, "got": c.got} for key, c in pairs.items()},
             "killing_definite": rep.killing_definite,
         },
         "pass": rep.passed,
@@ -324,18 +282,15 @@ def _cmd_classify(args) -> int:
         f"n: {rep.n}",
         f"algebra: {rep.algebra.describe()}",
         f"group: {rep.group.describe()}",
-        f"lie dim: expected {rep.lie_dim.expected}, got {rep.lie_dim.got}",
-        f"center dim: expected {rep.center_dim.expected}, got {rep.center_dim.got}",
-        f"algebra dim: expected {rep.algebra_dim.expected}, got {rep.algebra_dim.got}",
-        f"killing definite: {'yes' if rep.killing_definite else 'no'}",
-        f"pass: {'yes' if rep.passed else 'no'}",
+        *(f"{key.replace('_', ' ')}: expected {c.expected}, got {c.got}"
+          for key, c in pairs.items()),
+        f"killing definite: {_yes(rep.killing_definite)}",
+        f"pass: {_yes(rep.passed)}",
     ]
-    _emit(args, lines, obj)
-    return 0
+    return lines, obj
 
 
-def _cmd_isometry(args) -> int:
-    form = _build_form(args)
+def _cmd_isometry(args, form):
     g = form.parse(args.x)
     ev = structure.isometry_evidence(g)
     obj = {
@@ -350,21 +305,16 @@ def _cmd_isometry(args) -> int:
             "consistent": ev.consistent,
         },
     }
-    lines = [
-        f"isometry: {'yes' if ev.isometry else 'no'}",
-        f"left unit: {'yes' if ev.left_unit else 'no'}",
-        f"right unit: {'yes' if ev.right_unit else 'no'}",
-    ]
-    if ev.left_gram_preserved is not None:
-        lines.append(f"left gram preserved: {'yes' if ev.left_gram_preserved else 'no'}")
-        lines.append(f"right gram preserved: {'yes' if ev.right_gram_preserved else 'no'}")
-    lines.append(f"consistent: {'yes' if ev.consistent else 'no'}")
-    _emit(args, lines, obj)
-    return 0
+    lines = [f"isometry: {_yes(ev.isometry)}"]
+    # The text report names each piece of evidence as the json does, with
+    # the Gram checks only when they ran.
+    for key, value in obj["evidence"].items():
+        if value is not None:
+            lines.append(f"{key.replace('_', ' ')}: {_yes(value)}")
+    return lines, obj
 
 
-def _cmd_check(args) -> int:
-    form = _build_form(args)
+def _cmd_check(args, form):
     results = run_checks(form, seed=args.seed)
     failed = [r for r in results if not r.passed]
     obj = {
@@ -390,8 +340,7 @@ def _cmd_check(args) -> int:
     lines.append(
         "all checks passed" if not failed else f"{len(failed)} checks failed"
     )
-    _emit(args, lines, obj)
-    return 0 if not failed else 1
+    return lines, obj, 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,12 +416,22 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: build its form, call its handler, print its output."""
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        form = None
+        if "form" in args:
+            form = QuadraticForm.from_text(args.form, FieldSpec.from_text(args.field))
+        lines, obj, *code = args.handler(args, form)
     except CliffexError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    if args.fmt == "json":
+        print(json.dumps(obj))
+    else:
+        for line in lines:
+            print(line)
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

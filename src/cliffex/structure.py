@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import caps, reference
 from .core import (
@@ -34,6 +34,7 @@ from .errors import (
     NotDefiniteForm,
     NotInLieAlgebra,
     NotInvariantSubspace,
+    ParseError,
     UnorderedField,
     ZeroElement,
 )
@@ -80,7 +81,7 @@ class CenterDescription:
     contains_volume: bool
 
 
-def _centralizer_kernel(form: QuadraticForm, masks: Sequence[int]) -> list:
+def _centralizer_kernel(form: QuadraticForm, masks: Iterable[int]) -> list:
     """Unit blades e_m, m in ``masks`` ascending, spanning the elements of
     their span that commute with every generator, and so with the algebra.
 
@@ -105,19 +106,29 @@ def _centralizer_kernel(form: QuadraticForm, masks: Sequence[int]) -> list:
     return kernel
 
 
-def center(form: QuadraticForm, method: str = "closed_form") -> CenterDescription:
-    """Center of the full algebra: scalars, plus the top blade when n is odd."""
+def _center(
+    space: str, form: QuadraticForm, method: str, closed: Callable[[], list], masks: Iterable[int]
+) -> CenterDescription:
+    """The method dispatch of :func:`center` and :func:`lie_center`: the
+    basis is ``closed()`` for the closed form, or the centralizer kernel on
+    the blades ``masks`` for the solve."""
     if method == "closed_form":
-        basis = [form.one()]
-        if form.n % 2 == 1:
-            basis.append(form.volume_element())
+        basis = closed()
     elif method == "solve":
         caps.require("CENTER_SOLVE", form.n)
-        basis = _centralizer_kernel(form, range(form.dim))
+        basis = _centralizer_kernel(form, masks)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ParseError(f"unknown method {method!r}")
     contains_volume = any(b.coeffs[form.full_mask] for b in basis)
-    return CenterDescription("algebra", method, len(basis), tuple(basis), contains_volume)
+    return CenterDescription(space, method, len(basis), tuple(basis), contains_volume)
+
+
+def center(form: QuadraticForm, method: str = "closed_form") -> CenterDescription:
+    """Center of the full algebra: scalars, plus the top blade when n is odd."""
+    def closed():
+        return [form.one(), form.volume_element()] if form.n % 2 == 1 else [form.one()]
+
+    return _center("algebra", form, method, closed, range(form.dim))
 
 
 def lie_center(form: QuadraticForm, method: str = "closed_form") -> CenterDescription:
@@ -129,15 +140,10 @@ def lie_center(form: QuadraticForm, method: str = "closed_form") -> CenterDescri
     generators generate the algebra and the bracket is a derivation in
     each slot.
     """
-    if method == "closed_form":
-        basis = [form.volume_element()] if form.n % 4 == 1 else []
-    elif method == "solve":
-        caps.require("CENTER_SOLVE", form.n)
-        basis = _centralizer_kernel(form, lie_blades(form))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    contains_volume = any(b.coeffs[form.full_mask] for b in basis)
-    return CenterDescription("lie", method, len(basis), tuple(basis), contains_volume)
+    def closed():
+        return [form.volume_element()] if form.n % 4 == 1 else []
+
+    return _center("lie", form, method, closed, filter(is_lie_blade, range(form.dim)))
 
 
 # -- Killing form --------------------------------------------------------
@@ -215,7 +221,7 @@ def killing_form(form: QuadraticForm, method: str = "count") -> list:
     cross-check (capped, it scales as the cube of the Lie dimension).
     """
     if method not in ("count", "trace"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ParseError(f"unknown method {method!r}")
     if method == "trace":
         caps.require("KILLING_TRACE", form.n)
     masks = lie_blades(form)
@@ -354,31 +360,21 @@ def definiteness_report(form: QuadraticForm) -> DefinitenessReport:
         raise NotDefiniteForm("definiteness results need a positive definite form")
     dec = decompose(form)
     gram = form.gram_diagonal()
-    k_neg = k_zero = k_pos = 0
-    p_neg = p_zero = p_pos = 0
-    for m, (_, _, value) in zip(dec.ideal_masks, _killing_entries(form, dec.ideal_masks)):
-        s = f.sign_of(value)
-        if s < 0:
-            k_neg += 1
-        elif s == 0:
-            k_zero += 1
-        else:
-            k_pos += 1
-        s = f.sign_of(gram[m])
-        if s < 0:
-            p_neg += 1
-        elif s == 0:
-            p_zero += 1
-        else:
-            p_pos += 1
+
+    def tally(values) -> tuple:
+        signs = [f.sign_of(v) for v in values]
+        return signs.count(-1), signs.count(0), signs.count(1)
+
+    killing = tally(value for _, _, value in _killing_entries(form, dec.ideal_masks))
+    pairing = tally(gram[m] for m in dec.ideal_masks)
     total = len(dec.ideal_masks)
     return DefinitenessReport(
         n=form.n,
         ideal_dim=total,
-        killing_negative=(k_neg == total),
-        pairing_positive=(p_pos == total),
-        killing_signs=(k_neg, k_zero, k_pos),
-        pairing_signs=(p_neg, p_zero, p_pos),
+        killing_negative=killing[0] == total,
+        pairing_positive=pairing[2] == total,
+        killing_signs=killing,
+        pairing_signs=pairing,
     )
 
 

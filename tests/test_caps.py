@@ -67,11 +67,16 @@ def test_every_table_entry_is_read_and_every_named_cap_exists():
                 if node.value.id == "caps":
                     assert node.attr in TABLE or node.attr in ("over", "require"), node.attr
                     read.add(node.attr)
-            elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") in ("over", "require"):
-                arg = node.args[0]
-                if isinstance(arg, ast.Constant):
-                    assert arg.value in TABLE, (path.name, node.lineno, arg.value)
-                    read.add(arg.value)
+            elif isinstance(node, ast.Call):
+                # A cap named to caps.over or caps.require, or declared by a
+                # check as its cap="NAME".
+                named = [k.value for k in node.keywords if k.arg == "cap"]
+                if getattr(node.func, "attr", "") in ("over", "require"):
+                    named.append(node.args[0])
+                for arg in named:
+                    if isinstance(arg, ast.Constant):
+                        assert arg.value in TABLE, (path.name, node.lineno, arg.value)
+                        read.add(arg.value)
     assert set(TABLE) <= read, set(TABLE) - read
 
 

@@ -3,8 +3,9 @@ import dataclasses
 
 import pytest
 
-from cliffex import QuadraticForm, caps, run_checks, structure
+from cliffex import QuadraticForm, caps, checks, run_checks, structure
 from cliffex.checks import (
+    CheckResult,
     check_centers,
     check_decomposition,
     check_gram,
@@ -74,6 +75,16 @@ def test_checks_are_deterministic_in_the_seed():
     first = run_checks(form, seed=42)
     second = run_checks(form, seed=42)
     assert first == second
+
+
+def test_run_checks_calls_each_check_through_the_module(monkeypatch):
+    """run_checks reads each check_* attribute of the module when it runs,
+    so a substituted check (as a tracer that counts checks installs) runs."""
+    sentinel = CheckResult("gram", False, "substituted")
+    monkeypatch.setattr(checks, "check_gram", lambda form, rng=None: sentinel)
+    results = run_checks(QuadraticForm([1, 1], RATIONAL), seed=0)
+    assert [r.name for r in results] == EXPECTED_NAMES
+    assert results[EXPECTED_NAMES.index("gram")] is sentinel
 
 
 def test_skip_pattern_follows_the_form():

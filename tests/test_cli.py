@@ -1,4 +1,5 @@
 """Command line surface: examples, exit codes, schemas, determinism."""
+import dataclasses
 import inspect
 import json
 import os
@@ -150,6 +151,29 @@ def test_center_reports_method_agreement(capsys):
     code, out, _ = run_cli(capsys, "center", "--form", above, "--format", "json")
     assert code == 0
     assert json.loads(out)["methods_agree"] is None
+
+
+def test_center_agreement_compares_the_solved_blades(capsys, monkeypatch):
+    """A solve that returns other blades of the same count disagrees: the
+    report compares blades, as check_centers does, not dimensions."""
+    from cliffex import structure
+
+    center = structure.center
+    argv = ("center", "--form", "diag:1,-2,3")
+    assert run_cli(capsys, *argv)[1].endswith("methods agree: yes\n")
+
+    def solved(form, method="closed_form"):
+        desc = center(form, method)
+        if method != "solve":
+            return desc
+        return dataclasses.replace(desc, basis=(form.one(), form.generator(1)))
+
+    monkeypatch.setattr(structure, "center", solved)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("center: dim 0, basis []\nmethods agree: no\n")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert json.loads(out)["methods_agree"] is False
 
 
 def test_lie_membership_flag(capsys):

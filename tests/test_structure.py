@@ -35,6 +35,7 @@ from cliffex.errors import (
     NotInLieAlgebra,
     NotInvariantSubspace,
     OddDimension,
+    ParseError,
     UnorderedField,
     ZeroElement,
 )
@@ -155,6 +156,14 @@ def test_solved_centers_agree_with_closed_form():
                 assert sorted(b.support() for b in solved.basis) == sorted(
                     b.support() for b in closed.basis
                 )
+
+
+def test_an_unknown_method_is_a_parse_error():
+    form = QuadraticForm([1, 1, -1])
+    for route, known in ((center, "solve"), (lie_center, "solve"), (killing_form, "trace")):
+        assert route(form, method=known)
+        with pytest.raises(ParseError, match="^unknown method 'exact'$"):
+            route(form, method="exact")
 
 
 # Diagonals with denominators, so the square table's scale d is not 1;

@@ -6,8 +6,8 @@ rows of field elements are scaled to ints by :meth:`FieldSpec.scaled` and
 field elements are built only from the results by
 :meth:`FieldSpec.quotients`.  Callers that hold integer rows (translation
 operators and pairing-axiom systems) pass them straight in.  The dense
-core, ``_eliminate``, is Bareiss's fraction-free recurrence and serves
-determinants, solves and inverses.
+core, ``_eliminate``, serves determinants, solves and inverses: Bareiss's
+fraction-free recurrence over Q and plain Gauss elimination over F_p.
 The sparse core, ``_sparse_rref``, reduces ``{column: int}`` rows with one
 or two entries each and is reached through :func:`affine_space`.
 """
@@ -28,32 +28,37 @@ def identity_matrix(dim: int, field: FieldSpec) -> Matrix:
 
 
 def _eliminate(rows: list, n: int, p: Optional[int]) -> tuple:
-    """Fraction-free elimination of an integer augmented system, in place.
+    """Elimination of an integer augmented system in place: Bareiss over Q,
+    Gauss over F_p.
 
     Each of the ``n`` rows holds a row of the square matrix A and then its
-    right-hand sides (none for a bare determinant); over F_p the entries
-    are residues in [0, p).  Returns ``(det, ys)``: ``det`` is det A as an
-    int (a residue over F_p), and ``ys`` holds the rows of det * x for the
-    solution x of A x = rhs, or is None when det = 0.
+    right-hand sides (none for a bare determinant).  Returns ``(det, ys)``:
+    ``det`` is det A as an int (a residue over F_p), and ``ys`` holds the
+    rows of det * x for the solution x of A x = rhs (reduced mod p over
+    F_p), or is None when det = 0.
 
-    Forward elimination is Bareiss's recurrence: every entry it produces is
-    a minor of the input, so the division by the previous pivot is exact;
-    over F_p each pivot is inverted once instead.  Back substitution then
-    computes the integral Cramer numerators det * x.
+    Over Q, forward elimination is Bareiss's recurrence: every entry it
+    produces is a minor of the input, so the division by the previous pivot
+    is exact.  Back substitution then computes the integral Cramer
+    numerators det * x.  The row scaling is lazy.  A row with a zero in the
+    pivot column would only be multiplied by piv / prev, and those factors
+    telescope, so it is left as it is and ``last`` keeps the pivot it was
+    last updated against.  Its next update divides by that pivot, and when
+    it becomes the pivot row it is brought up to date once; both divisions
+    are exact because the results are true Bareiss entries, hence minors.
 
-    Over Q the row scaling is lazy.  A row with a zero in the pivot column
-    would only be multiplied by piv / prev, and those factors telescope, so
-    it is left as it is and ``last`` keeps the pivot it was last updated
-    against.  Its next update divides by that pivot, and when it becomes
-    the pivot row it is brought up to date once; both divisions are exact
-    because the results are true Bareiss entries, hence minors.
+    Over F_p the entries must be residues in [0, p), as
+    :meth:`FieldSpec.scaled` and the translation matrices write them, since
+    a row is cleared exactly when its pivot-column entry is a nonzero int.
+    Each pivot is inverted once and its row's tail scaled by the inverse; a
+    row with f != 0 in the pivot column becomes (x - f y) % p, and a row
+    with 0 there is not touched.  det is the signed product of the pivots.
     """
     if n == 0:
         return 1, []
     sign = 1
-    prev = 1  # previous pivot over Q, its inverse over F_p
+    prev = 1  # over Q the previous pivot, over F_p the product of the pivots
     last = [1] * n  # over Q, the pivot each row was last updated against
-    inverses = []
     for k in range(n):
         for r in range(k, n):
             if rows[r][k]:
@@ -80,20 +85,15 @@ def _eliminate(rows: list, n: int, p: Optional[int]) -> tuple:
                     last[i] = piv
             prev = piv
         else:
-            # Eager for now.  Plain Gauss elimination that skips such rows is
-            # faster still, but the benchmark keeps bookkeeping per completed
-            # operation and charges it to peak RSS, so the gain would read as
-            # a memory regression until the benchmark stops doing that.
             piv = pivot_row[k]
-            tail = pivot_row[k + 1:]
+            inv = pow(piv, -1, p)
+            tail = pivot_row[k + 1:] = [x * inv % p for x in pivot_row[k + 1:]]
             for row in rows[k + 1:]:
                 f = row[k]
-                row[k + 1:] = [(x * piv - f * y) * prev % p for x, y in zip(row[k + 1:], tail)]
-            prev = pow(piv, -1, p)
-            inverses.append(prev)
-    det = sign * rows[-1][n - 1]
-    if p is not None:
-        det %= p
+                if f:
+                    row[k + 1:] = [(x - f * y) % p for x, y in zip(row[k + 1:], tail)]
+            prev = prev * piv % p
+    det = sign * rows[-1][n - 1] if p is None else sign * prev % p
     ys = [None] * n
     for i in range(n - 1, -1, -1):
         row = rows[i]
@@ -103,10 +103,8 @@ def _eliminate(rows: list, n: int, p: Optional[int]) -> tuple:
                 c = row[j]
                 if c:
                     acc = [s - c * y for s, y in zip(acc, ys[j])]
-        if p is None:
-            ys[i] = [s // row[i] for s in acc]
-        else:
-            ys[i] = [s * inverses[i] % p for s in acc]
+        # Over F_p the tail of each pivot row was divided by its pivot.
+        ys[i] = [s // row[i] for s in acc] if p is None else [s % p for s in acc]
     return det, ys
 
 

@@ -4,9 +4,10 @@ The dense determinant is cross-checked against a cofactor expansion that
 shares no code with the production path, on seeded samples and on
 hypothesis-drawn singular and row-swapping matrices.  The lazy row scaling
 of the rational core is checked on matrices with structured zeros against
-cofactors, against the eager F_13 core on the reduced matrix and by
-inverse round trips.  The sparse solver is checked by substituting its
-answers back into the original rows.
+cofactors, against the F_13 core on the reduced matrix and by inverse
+round trips.  The Gauss core over F_p is held to the Bareiss core over Q
+on integer systems up to 12 x 12, reduced mod 3, 7 and 101.  The sparse
+solver is checked by substituting its answers back into the original rows.
 """
 import random
 from fractions import Fraction
@@ -342,6 +343,76 @@ def test_lazy_rows_on_translation_matrices_of_sparse_units(pair):
     for y in (x, x13):
         inv = inverse(y)
         assert y * inv == inv * y == y.form.one()
+
+
+# -- the integer core: Gauss over F_p against Bareiss over Q ---------------
+
+VANISHING = 3 * 7 * 101  # a multiple of every prime below
+
+
+@st.composite
+def _integer_systems(draw):
+    """``(rows, n)``: the integer rows of an n x n matrix A, n <= 12, each
+    followed by 0-2 right-hand-side entries.
+
+    Entries are small ints or multiples of ``VANISHING``, which are zero mod
+    every prime of the test but not over Q.  Dense matrices are full, sparse
+    ones have about 70 % zeros in A, and singular ones end in an integer
+    combination of the rows above.  In staircase ones row i starts with
+    0 to i zeros before the rows are shuffled, so a row with zero pivot
+    entries is skipped, step after step, and then swapped up.
+    """
+    n = draw(st.integers(1, 12))
+    width = n + draw(st.integers(0, 2))
+    shape = draw(st.sampled_from(("dense", "sparse", "singular", "staircase")))
+    entry = st.one_of(st.integers(-30, 30), st.integers(-2, 2).map(VANISHING.__mul__))
+    cells = draw(st.lists(entry, min_size=n * width, max_size=n * width))
+    rows = [cells[i * width:(i + 1) * width] for i in range(n)]
+    if shape == "sparse":
+        zeros = draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n))
+        for i, row in enumerate(rows):
+            row[:n] = [0 if z < 7 else v for v, z in zip(row[:n], zeros[i * n:])]
+    elif shape == "singular":
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(width)]
+    elif shape == "staircase":
+        for i, row in enumerate(rows):
+            z = draw(st.integers(0, i))
+            row[:z] = [0] * z
+        rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    return rows, n
+
+
+def _satisfies(rows, n, det, ys, p=None):
+    """A ys = det rhs, column by column (mod p when p is given)."""
+    for row in rows:
+        for c, b in enumerate(row[n:]):
+            lhs, rhs = sum(x * y[c] for x, y in zip(row[:n], ys)), det * b
+            if (lhs - rhs) % p if p else lhs != rhs:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p", (3, 7, 101))
+@PROPERTY_SETTINGS
+@given(system=_integer_systems())
+def test_gauss_over_f_p_is_bareiss_over_q_reduced(p, system):
+    rows, n = system
+    det_q, ys_q = linalg._eliminate([row[:] for row in rows], n, None)
+    assert (ys_q is None) == (det_q == 0)
+    assert ys_q is None or _satisfies(rows, n, det_q, ys_q)
+    # Over F_p a row with a zero in the pivot column is never written.
+    state = {"step": -1}
+    state["rows"] = watched = [_WatchedRow(v % p for v in row) for row in rows]
+    for row in watched:
+        row.state = state
+    det, ys = linalg._eliminate(watched, n, p)
+    if det_q % p == 0:
+        assert (det, ys) == (0, None)
+        return
+    assert det == det_q % p
+    assert all(0 <= v < p for y in ys for v in y)
+    assert _satisfies(rows, n, det, ys, p)
 
 
 # -- sparse path ---------------------------------------------------------

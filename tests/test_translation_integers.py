@@ -8,6 +8,11 @@ determinant and inverse of ``linalg`` on the field-element matrices.  The
 forms cover Q with an integer and with a rational diagonal, and F_3, F_7
 and F_101, at ranks 1-5; the elements are units, constructed zero divisors
 (r + u) y with u u = r^2, one-term elements and random ones.
+
+Over F_p the field-element route ends in the same elimination, so at ranks
+6 and 7 (64 x 64 and 128 x 128 matrices) the results over F_101 are held
+instead to the rational results on the same integer elements, reduced
+mod 101.
 """
 import random
 from fractions import Fraction
@@ -200,3 +205,57 @@ def test_sparse_gram_check_matches_the_dense_definition(key, data):
     assert ev.left_gram_preserved == _gram_preserved(left_matrix(x), form)
     assert ev.right_gram_preserved == _gram_preserved(right_matrix(x), form)
     assert ev.consistent
+
+
+# -- full translation size: F_101 against Q reduced mod 101 ----------------
+
+F101 = FieldSpec.prime(101)
+FULL_DIAGONAL = (1, -1, 2, -2, 3, -5, 7)
+FULL_SIZE_CASES = {6: {"unit": 3, "dense": 2, "zero_divisor": 2},
+                   7: {"unit": 3, "dense": 1, "zero_divisor": 1}}
+
+
+def _mod101(v: Fraction) -> Fp:
+    return F101.element(v.numerator * pow(v.denominator, -1, 101))
+
+
+def _full_size_element(form: QuadraticForm, kind: str, rng: random.Random):
+    """A seeded integer element over Q: a product of three factors
+    a + b e_I, a dense element, or (r + u) y for a blade u with u u = r^2
+    and a dense y."""
+    dense = form.multivector({m: rng.randint(-9, 9) for m in range(form.dim)})
+    if kind == "dense":
+        return dense
+    if kind == "zero_divisor":
+        roots = [(m, isqrt(s)) for m in range(1, form.dim)
+                 if (s := int(form.blade_square(m))) > 0 and isqrt(s) ** 2 == s]
+        mask, r = rng.choice(roots)
+        return form.multivector({0: r, mask: 1}) * dense
+    x = form.one()
+    for _ in range(3):
+        mask, a, b = rng.randrange(1, form.dim), rng.randint(-9, 9), rng.randint(1, 9)
+        while a * a == b * b * form.blade_square(mask):
+            a += 1
+        x = x * form.multivector({0: a, mask: b})
+    return x
+
+
+@pytest.mark.parametrize("n, kind", [(n, k) for n, kinds in FULL_SIZE_CASES.items() for k in kinds])
+def test_f101_results_are_the_rational_ones_reduced_at_full_size(n, kind):
+    """64 x 64 and 128 x 128 translation matrices: the Gauss core over F_101
+    against the Bareiss core over Q, on the same integer element."""
+    form = QuadraticForm(FULL_DIAGONAL[:n])
+    form101 = QuadraticForm(FULL_DIAGONAL[:n], F101)
+    rng = random.Random(f"{n}-{kind}")
+    for _ in range(FULL_SIZE_CASES[n][kind]):
+        x = _full_size_element(form, kind, rng)
+        x101 = form101.multivector({m: int(c) for m, c in x.terms()})
+        det = translation_determinants(x)[0]
+        assert (det == 0) == (kind == "zero_divisor")
+        assert translation_determinants(x101) == (_mod101(det),) * 2
+        assert is_zero_divisor(x101) == (not _mod101(det))
+        if _mod101(det):
+            assert list(inverse(x101).coeffs) == [_mod101(c) for c in inverse(x).coeffs]
+        else:
+            with pytest.raises(NotInvertible):
+                inverse(x101)

@@ -248,7 +248,7 @@ def parse_quaternion(text: str) -> Quaternion:
         m = _QTERM.match(chunk)
         if not m or (m.group(1) is None and not m.group(2)):
             raise ParseError(f"bad quaternion term {chunk!r}")
-        coef = Fraction(m.group(1)) if m.group(1) is not None else Fraction(1)
+        coef = RATIONAL.parse(m.group(1)) if m.group(1) is not None else Fraction(1)
         unit = m.group(2)
         comps[unit] += sgn * coef
     return Quaternion(comps[""], comps["i"], comps["j"], comps["k"])

@@ -31,6 +31,7 @@ from .core import (
     reverse_sign,
 )
 from .errors import (
+    MismatchedForm,
     NotDefiniteForm,
     NotInLieAlgebra,
     NotInvariantSubspace,
@@ -205,7 +206,7 @@ def killing_entry(form: QuadraticForm, a: int, b: int) -> FieldElement:
     Off-diagonal pairs pair to zero; a diagonal entry is 4 m s with m the
     anticommuting count and s the blade's scalar square.
     """
-    if not (is_lie_blade(a) and is_lie_blade(b)):
+    if not (is_lie_blade(form.check_mask(a)) and is_lie_blade(form.check_mask(b))):
         raise NotInLieAlgebra("Killing form is defined on Lie-algebra blades")
     if a != b:
         return form.field.zero
@@ -272,7 +273,8 @@ def ad_matrix(xi: Multivector, basis: Optional[Sequence[Multivector]] = None) ->
     """Matrix of bracketing with ``xi`` on the span of ``basis``, a list of
     unit blades e_b, by default the Lie algebra's blade basis.
 
-    Raises :class:`NotInLieAlgebra` when ``xi`` is outside the Lie algebra
+    Raises :class:`NotInLieAlgebra` when ``xi`` is outside the Lie algebra,
+    :class:`MismatchedForm` when a basis element lives over another form,
     and :class:`NotInvariantSubspace` when a basis element is not a unit
     blade or some bracket leaves the span, naming the lowest blade that
     leaves it.
@@ -283,6 +285,8 @@ def ad_matrix(xi: Multivector, basis: Optional[Sequence[Multivector]] = None) ->
     if basis is None:
         masks = lie_blades(form)
     else:
+        if any(b.form != form for b in basis):
+            raise MismatchedForm("ad_matrix needs a basis over the element's form")
         supports = [b.support() for b in basis]
         if any(len(s) != 1 or b.coeffs[s[0]] != form.field.one for b, s in zip(basis, supports)):
             raise NotInvariantSubspace("ad_matrix needs a basis of unit blades")

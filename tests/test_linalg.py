@@ -1,4 +1,4 @@
-"""Exact dense and sparse linear algebra.
+"""Exact linear algebra: one elimination core, square and rectangular.
 
 The dense determinant is cross-checked against a cofactor expansion that
 shares no code with the production path, on seeded samples and on
@@ -6,12 +6,15 @@ hypothesis-drawn singular and row-swapping matrices.  The lazy row scaling
 of the rational core is checked on matrices with structured zeros against
 cofactors, against the F_13 core on the reduced matrix and by inverse
 round trips.  The Gauss core over F_p is held to the Bareiss core over Q
-on integer systems up to 12 x 12, reduced mod 3, 7 and 101.  The sparse
-solver is checked by substituting its answers back into the original rows.
+on integer systems up to 12 x 12, reduced mod 3, 7 and 101.  On
+rectangular systems (tall, with pivotless columns, with repeated and
+scaled rows) the forward pass is held to plain Gauss-Jordan pivots and
+cofactor minors, and back substitution to the original rows.  The sparse
+solver is checked by substituting its answers back into the original rows
+and against dense elimination.
 """
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,38 +281,52 @@ def test_lazy_rows_against_cofactors_reduction_mod_p_and_inverses(a):
 
 
 class _WatchedRow(list):
-    """A row that checks each slice write ``_eliminate`` makes to it.
+    """A row that checks each slice write the forward pass makes to it.
 
-    The step k is the column of the last single entry read from any row
-    (the pivot search and the update factor read column k).  At step k an
-    update writes from column k + 1 and needs a nonzero entry in column k;
-    a rescale writes from column k and is allowed only for the pivot row.
+    The step is the column c of the last single entry read from any row
+    (the pivot search and the update factor read column c).  The pivot row
+    of a step is the first row that is not yet a pivot row: when the step
+    moves on from column c, the row at position ``rank`` of the watched list
+    became a pivot row if it holds a nonzero entry in column c (then it was
+    swapped there as the pivot; otherwise column c had no pivot).  At step c
+    an update writes from column c + 1 and needs a nonzero entry in column
+    c; a rescale writes from column c and is allowed only for the pivot row.
     """
 
     def __getitem__(self, key):
-        if isinstance(key, int):
-            self.state["step"] = key
+        state = self.state
+        if isinstance(key, int) and key != state["step"]:
+            old, rows = state["step"], state["rows"]
+            if old >= 0 and state["rank"] < len(rows) and list.__getitem__(rows[state["rank"]], old):
+                state["rank"] += 1
+            state["step"] = key
         return super().__getitem__(key)
 
     def __setitem__(self, key, value):
-        k = self.state["step"]
-        if key.start == k:
-            assert self.state["rows"][k] is self, f"a row other than the pivot rescaled at step {k}"
+        c = self.state["step"]
+        if key.start == c:
+            pivot_row = self.state["rows"][self.state["rank"]]
+            assert pivot_row is self, f"a row other than the pivot row rescaled at column {c}"
         else:
-            assert key.start == k + 1 and super().__getitem__(k), (
-                f"a row with a zero in the pivot column written at step {k}")
+            assert key.start == c + 1 and super().__getitem__(c), (
+                f"a row with a zero in the pivot column written at column {c}")
         super().__setitem__(key, value)
+
+
+def _watched(rows):
+    """Copies of the int rows as :class:`_WatchedRow` sharing one state."""
+    state = {"step": -1, "rank": 0}
+    state["rows"] = watched = [_WatchedRow(row) for row in rows]
+    for row in watched:
+        row.state = state
+    return watched
 
 
 @PROPERTY_SETTINGS
 @given(a=_structured_matrices())
 def test_rational_elimination_leaves_rows_with_a_zero_pivot_entry_alone(a):
     rows, scale = linalg._integer_rows(a, [[] for _ in a], RATIONAL)
-    state = {"step": -1}
-    state["rows"] = watched = [_WatchedRow(row) for row in rows]
-    for row in watched:
-        row.state = state
-    det = linalg._eliminate(watched, len(watched), None)[0]
+    det = linalg._eliminate(_watched(rows), len(rows), None)[0]
     assert _mod13(Fraction(det, scale)) == linalg.determinant(
         [[_mod13(v) for v in row] for row in a], F13)
 
@@ -402,17 +419,75 @@ def test_gauss_over_f_p_is_bareiss_over_q_reduced(p, system):
     assert (ys_q is None) == (det_q == 0)
     assert ys_q is None or _satisfies(rows, n, det_q, ys_q)
     # Over F_p a row with a zero in the pivot column is never written.
-    state = {"step": -1}
-    state["rows"] = watched = [_WatchedRow(v % p for v in row) for row in rows]
-    for row in watched:
-        row.state = state
-    det, ys = linalg._eliminate(watched, n, p)
+    det, ys = linalg._eliminate(_watched([v % p for v in row] for row in rows), n, p)
     if det_q % p == 0:
         assert (det, ys) == (0, None)
         return
     assert det == det_q % p
     assert all(0 <= v < p for y in ys for v in y)
     assert _satisfies(rows, n, det, ys, p)
+
+
+@st.composite
+def _rectangular_systems(draw):
+    """``(rows, ncols)``: int rows over ncols <= 6 unknowns, each followed
+    by 0-2 more columns that ride along.
+
+    Entries are as in :func:`_integer_systems`.  Tall systems have more
+    rows than unknowns.  In pivotless ones the leading columns and one more
+    are zero in every row, so the forward pass skips them.  In repeated
+    ones rows copy earlier rows, as they are or scaled by a nonzero int,
+    ``VANISHING`` among them (a row that vanishes mod p only).
+    """
+    ncols = draw(st.integers(1, 6))
+    width = ncols + draw(st.integers(0, 2))
+    shape = draw(st.sampled_from(("tall", "pivotless", "repeated")))
+    m = draw(st.integers(ncols + 1, ncols + 4) if shape == "tall" else st.integers(1, 8))
+    entry = st.one_of(st.integers(-30, 30), st.integers(-2, 2).map(VANISHING.__mul__))
+    rows = [draw(st.lists(entry, min_size=width, max_size=width)) for _ in range(m)]
+    if shape == "pivotless":
+        dead = {*range(draw(st.integers(1, ncols))), draw(st.integers(0, ncols - 1))}
+        rows = [[0 if c in dead else v for c, v in enumerate(row)] for row in rows]
+    elif shape == "repeated":
+        for i in range(1, m):
+            if draw(st.booleans()):
+                k = draw(st.sampled_from((1, 1, -1, 2, -3, VANISHING)))
+                rows[i] = [k * v for v in rows[draw(st.integers(0, i - 1))]]
+    return rows, ncols
+
+
+@pytest.mark.parametrize("p", (None, 3, 7, 101))
+@PROPERTY_SETTINGS
+@given(system=_rectangular_systems())
+def test_forward_and_back_substitution_on_rectangular_systems(p, system):
+    rows, ncols = system
+    field = FieldSpec.prime(p) if p else RATIONAL
+    if p:
+        rows = [[v % p for v in row] for row in rows]
+    work = _watched(rows)
+    origin = {id(row): i for i, row in enumerate(work)}
+    det, pivots = linalg._forward(work, ncols, p)
+    assert pivots == _dense_pivots([[field.element(v) for v in row[:ncols]] for row in rows], field)
+    rank = len(pivots)
+    # det is, up to sign, the minor of the rows that became pivot rows.
+    top = [rows[origin[id(row)]] for row in work[:rank]]
+    minor = cofactor_determinant([[field.element(row[c]) for c in pivots] for row in top], field)
+    assert minor and field.element(det) in (minor, -minor)
+    if p:
+        assert 0 <= det < p
+    # The rows past the pivot rows are zero on the unknowns without a pivot.
+    cols = [c for c in range(len(rows[0])) if c not in pivots]
+    assert not any(row[c] for row in work[rank:] for c in cols if c < ncols)
+    # Each column without a pivot is a right-hand side: ys = det x for the
+    # pivot rows, and every row holds for the unknowns, which depend on the
+    # pivot columns.
+    ys = linalg._back(work, pivots, det, cols, p)
+    for j, c in enumerate(cols):
+        for row in rows if c < ncols else top:
+            lhs = sum(row[pc] * y[j] for pc, y in zip(pivots, ys))
+            assert ((lhs - det * row[c]) % p == 0) if p else lhs == det * row[c]
+    if p:
+        assert all(0 <= v < p for y in ys for v in y)
 
 
 # -- sparse path ---------------------------------------------------------
@@ -521,7 +596,7 @@ def test_affine_space_detects_inconsistency():
     assert not consistent and sol is None
 
 
-# -- property tests of the sparse reducer --------------------------------
+# -- property tests of affine_space ---------------------------------------
 
 SPARSE_FIELDS = (RATIONAL, FieldSpec.prime(3), FieldSpec.prime(13), FieldSpec.prime(101))
 # Primes, so fractions over them have pairwise coprime denominators; none
@@ -543,15 +618,21 @@ def _sparse_systems(draw, field):
     (dependent, some cancelling to nothing), rows that share the lowest
     column of an earlier row with a fresh tail, so that eliminating that
     column fills in the earlier row's other columns, and rows of explicit
-    zeros, which leave only a right-hand side (0 = b).  The right-hand
-    sides come from a witness (a consistent system) or are random.
+    zeros, which leave only a right-hand side (0 = b).  Repeats copy an
+    earlier row (the test scales them apart).  Up to two leading columns
+    may be left out of every row, so that they get no pivot.
+    The right-hand sides come from a witness (a consistent system) or are
+    random.
     """
     ncols = draw(st.integers(0, 8))
+    low = draw(st.integers(0, min(2, ncols)))
     scalars = _sparse_scalars(field)
     rows = []
     for _ in range(draw(st.integers(0, 10))):
-        kind = draw(st.sampled_from(("random", "combination", "fill", "zero")))
-        if kind == "combination" and rows:
+        kind = draw(st.sampled_from(("random", "combination", "fill", "zero", "repeat")))
+        if kind == "repeat" and rows:
+            row = dict(draw(st.sampled_from(rows)))
+        elif kind == "combination" and rows:
             row = {}
             for old in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
                 c = draw(scalars)
@@ -560,12 +641,12 @@ def _sparse_systems(draw, field):
         elif kind == "fill" and rows and rows[-1]:
             lead = min(rows[-1])
             row = {lead: draw(scalars)}
-            for col in draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
+            for col in draw(st.sets(st.integers(low, ncols - 1), max_size=3)):
                 row[col] = draw(scalars)
-        elif kind == "zero" and ncols:
-            row = {col: field.zero for col in draw(st.sets(st.integers(0, ncols - 1), max_size=2))}
-        elif ncols:
-            cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+        elif kind == "zero" and ncols > low:
+            row = {col: field.zero for col in draw(st.sets(st.integers(low, ncols - 1), max_size=2))}
+        elif ncols > low:
+            cols = draw(st.sets(st.integers(low, ncols - 1), max_size=ncols))
             row = {col: draw(scalars) for col in cols}
         else:
             row = {}
@@ -620,7 +701,7 @@ def test_sparse_routines_against_dense_elimination(field, data):
     rank = len(pivots)
     free = [c for c in range(ncols) if c not in pivots]
 
-    # The integer rows of the reducer's contract: each row and its
+    # The integer rows of affine_space's contract: each row and its
     # right-hand side times a nonzero int, which gives content above 1 and
     # negative leads, and over F_p plus multiples of p, which leaves ints
     # outside [0, p) (explicit zeros among them).
@@ -631,16 +712,6 @@ def test_sparse_routines_against_dense_elimination(field, data):
         t = data.draw(st.integers(-3, 3)) * p if p else 0
         int_rows[i] = {c: k * v + t for c, v in row.items()}
         int_rhs[i] = k * int_rhs[i] + t
-
-    # Stored pivot rows: lead 1 and residues over F_p; over Q content 1
-    # (with the right-hand side) and a positive lead.
-    pivot_rows, pivot_rhs, _ = linalg._sparse_rref(int_rows, p, int_rhs)
-    for pc, prow in pivot_rows.items():
-        assert min(prow) == pc
-        if p:
-            assert prow[pc] == 1 and all(0 < v < p for v in prow.values()) and 0 <= pivot_rhs[pc] < p
-        else:
-            assert prow[pc] > 0 and gcd(pivot_rhs[pc], *prow.values()) == 1
 
     sol, nullity, consistent, kernel = linalg.affine_space(int_rows, int_rhs, ncols, field)
     assert ncols - nullity == rank

@@ -31,6 +31,7 @@ from cliffex import (
     volume_commutation_report,
 )
 from cliffex.errors import (
+    MismatchedForm,
     NotDefiniteForm,
     NotInLieAlgebra,
     NotInvariantSubspace,
@@ -338,6 +339,20 @@ def test_ad_matrix_refuses_a_basis_element_that_is_not_a_unit_blade():
         assert len(ad_matrix(xi, [e1, e2, form.parse("e12")])) == 3
 
 
+def test_ad_matrix_refuses_a_basis_over_another_form():
+    form = QuadraticForm.from_text("sig:3,0")
+    xi = form.parse("e12")
+    other = QuadraticForm.from_text("diag:1,2,3")
+    for basis in ([other.basis_blade(m) for m in lie_blades(other)],
+                  [form.basis_blade(0b011), other.basis_blade(0b101)],
+                  [QuadraticForm.from_text("sig:3,0", F7).basis_blade(0b011)]):
+        with pytest.raises(MismatchedForm):
+            ad_matrix(xi, basis)
+    # An equal form built apart is the same form.
+    same = QuadraticForm.from_text("sig:3,0")
+    assert ad_matrix(xi, [same.basis_blade(m) for m in lie_blades(same)]) == ad_matrix(xi)
+
+
 def test_ad_matrix_rejects_non_members():
     form = QuadraticForm([1, 1])
     with pytest.raises(NotInLieAlgebra):
@@ -417,6 +432,14 @@ def test_killing_off_diagonal_vanishes():
             for b in masks:
                 if a != b:
                     assert killing_entry(form, a, b) == form.field.zero
+
+
+def test_killing_entry_refuses_masks_outside_the_algebra():
+    form = QuadraticForm.from_text("sig:3,0")
+    for a, b in ((1 << 5, 1), (-1, 1), (1, 1 << 5), (1, -1), (1 << 3, 1 << 3), (-1, -1)):
+        with pytest.raises(MismatchedForm):
+            killing_entry(form, a, b)
+    assert killing_entry(form, 0b011, 0b101) == form.field.zero
 
 
 def test_first_known_killing_value():

@@ -620,9 +620,8 @@ def _sparse_systems(draw, field):
     column fills in the earlier row's other columns, and rows of explicit
     zeros, which leave only a right-hand side (0 = b).  Repeats copy an
     earlier row (the test scales them apart).  Up to two leading columns
-    may be left out of every row, so that they get no pivot.
-    The right-hand sides come from a witness (a consistent system) or are
-    random.
+    may be left out of every row, so that they get no pivot.  The
+    right-hand sides come from a witness (a consistent system) or are random.
     """
     ncols = draw(st.integers(0, 8))
     low = draw(st.integers(0, min(2, ncols)))

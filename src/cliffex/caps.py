@@ -16,7 +16,7 @@ CENTER_SOLVE = 14
 KILLING_TRACE = 8  # trace route of killing_form: cubic in the Lie dimension
 ISOMETRY_GRAM = 8  # Gram preservation in isometry_evidence: a dim^3 loop
 MULTIPLICATIVITY = 6  # equivalence_isomorphism's check on all 4^n blade pairs
-UNIQUENESS_SOLVE = 3  # pairing axioms: 8^n equations in 4^n / 2 unknowns
+UNIQUENESS_SOLVE = 3  # pairing axioms: 2n·4^n equations in 4^n / 2 unknowns
 
 # Checks in checks.py that sweep dense objects.
 BLADE_PAIRS_EXHAUSTIVE = 5  # every blade pair against the word oracle; 200 sampled above

@@ -3,11 +3,11 @@
 One elimination core serves every solve, on integer rows: integers over Q,
 residues over F_p.  ``_forward`` eliminates square and rectangular systems
 alike and ``_back`` substitutes back; ``_eliminate`` is the square solve
-behind determinants and inverses, and :func:`affine_space` solves sparse
-systems on the same two steps.  :meth:`FieldSpec.scaled` turns rows of
-field elements into ints and :meth:`FieldSpec.quotients` turns results
-into field elements; integer rows (translation operators, pairing axioms)
-come straight in.
+behind determinants and inverses, and :func:`affine_space` solves
+rectangular systems on the same two steps.  :meth:`FieldSpec.scaled`
+turns rows of field elements into ints and :meth:`FieldSpec.quotients`
+turns results into field elements; integer rows (translation operators,
+pairing axioms) come straight in.
 """
 from __future__ import annotations
 
@@ -17,11 +17,6 @@ from .errors import DimensionMismatch
 from .field import FieldElement, FieldSpec
 
 Matrix = list  # list[list[FieldElement]] by convention
-
-
-def identity_matrix(dim: int, field: FieldSpec) -> Matrix:
-    z, o = field.zero, field.one
-    return [[o if i == j else z for j in range(dim)] for i in range(dim)]
 
 
 def _forward(rows: list, ncols: int, p: Optional[int], square: bool = False) -> tuple:
@@ -126,64 +121,41 @@ def _eliminate(rows: list, n: int, p: Optional[int]) -> tuple:
     return det, _back(rows, pivots, det, range(n, len(rows[0]) if rows else n), p)
 
 
-def _integer_rows(a: Matrix, rhs: Matrix, field: FieldSpec) -> tuple:
-    """The rows of ``[a | rhs]`` as ints for :func:`_eliminate`, and their
-    scale, the product of the row multipliers, so det a = det / scale."""
-    n = len(a)
-    if any(len(row) != n for row in a) or len(rhs) != n:
-        raise DimensionMismatch("elimination needs a square system")
-    rows = []
-    scale = 1
-    for row, extra in zip(a, rhs):
-        ints, mult = field.scaled([*row, *extra])
-        rows.append(ints)
-        scale *= mult
-    return rows, scale
-
-
 def determinant(rows: Matrix, field: FieldSpec) -> FieldElement:
-    """Exact determinant of a square matrix over ``field``."""
-    m, scale = _integer_rows(rows, [[] for _ in rows], field)
-    return field.quotients([_eliminate(m, len(m), field.p)[0]], scale)[0]
+    """Exact determinant of a square matrix over ``field``: each row is
+    scaled to ints, so det = det(int rows) / the product of the scales."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatch("elimination needs a square system")
+    ints, scale = [], 1
+    for row in rows:
+        vec, mult = field.scaled(row)
+        ints.append(vec)
+        scale *= mult
+    return field.quotients([_eliminate(ints, n, field.p)[0]], scale)[0]
 
 
-def invert_matrix(a: Matrix, field: FieldSpec) -> Optional[Matrix]:
-    """Exact inverse of a square matrix; None when singular."""
-    rows, _ = _integer_rows(a, identity_matrix(len(a), field), field)
-    det, ys = _eliminate(rows, len(rows), field.p)
-    return None if ys is None else [field.quotients(y, det) for y in ys]
+def affine_space(rows: list, ncols: int, field: FieldSpec) -> tuple:
+    """Solve ``A x = b`` in ``ncols`` unknowns over ``field``.
 
-
-def affine_space(rows: list, rhs: Optional[list], ncols: int, field: FieldSpec) -> tuple:
-    """Solve the sparse system ``A x = b`` in ``ncols`` unknowns over ``field``.
-
-    ``rows`` are integer rows ``{col: int}`` and ``rhs`` their int
-    right-hand sides, or None for a homogeneous system (scale rows of field
-    elements with their right-hand sides by :meth:`FieldSpec.scaled`
-    first).  Returns ``(solution, nullity, consistent, kernel)``: the
-    solution (free unknowns 0) is None when the system is inconsistent, and
-    the kernel holds one vector per free column, ascending, with a 1 in its
-    free slot and 0 in the other free slots; it does not depend on ``rhs``.
+    ``rows`` are the dense int rows of ``[A | -b]``, each ``ncols + 1``
+    long, with -b last (0 for a homogeneous row); scale rows of field
+    elements by :meth:`FieldSpec.scaled` first.  Returns ``(solution,
+    nullity, consistent, kernel)``: the solution (free unknowns 0) is None
+    when the system is inconsistent, and the kernel holds one vector per
+    free column, ascending, with a 1 in its free slot and 0 in the other
+    free slots; it does not depend on b.
 
     This is the kernel of ``[A | -b]``: each distinct row (mod p over F_p)
-    becomes one dense int row with -b in column ``ncols``, which gets no
-    pivot.  :func:`_back` takes every column without a pivot as a
-    right-hand side, the vector with a 1 in free slot c is -ys / det on the
-    pivot slots, and the solution is the one with a 1 in slot ``ncols``.
+    is eliminated once, and column ``ncols`` gets no pivot.  :func:`_back`
+    takes every column without a pivot as a right-hand side, the vector
+    with a 1 in free slot c is -ys / det on the pivot slots, and the
+    solution is the one with a 1 in slot ``ncols``.
     """
     p = field.p
-    distinct: dict = {}
-    for i, row in enumerate(rows):
-        entries = {**row, ncols: 0 if rhs is None else -rhs[i]}
-        if p is not None:
-            entries = {c: v % p for c, v in entries.items()}
-        distinct.setdefault(frozenset(entries.items()), entries)
-    dense = []
-    for entries in distinct.values():
-        vec = [0] * (ncols + 1)
-        for c, v in entries.items():
-            vec[c] = v
-        dense.append(vec)
+    if p is not None:
+        rows = ([v % p for v in row] for row in rows)
+    dense = [list(row) for row in dict.fromkeys(map(tuple, rows))]
     det, pivots = _forward(dense, ncols, p)
     free = sorted(set(range(ncols + 1)) - set(pivots))
     ys = _back(dense, pivots, det, free, p)

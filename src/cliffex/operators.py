@@ -16,7 +16,6 @@ from . import caps, linalg
 from .core import (
     Multivector,
     QuadraticForm,
-    conjugate_sign,
     involute_sign,
     reorder_parity,
 )
@@ -171,9 +170,10 @@ class AlgebraMap:
         return acc
 
     def inverse(self) -> "AlgebraMap":
-        inv = linalg.invert_matrix(self.vector_matrix, self.source.field)
-        if inv is None:
-            raise SingularTransformation("generator matrix is singular")
+        """The inverse map, from the adjoint: construction checked
+        t^T G_target t = G_source, so t^-1 = G_source^-1 t^T G_target."""
+        t, q_source, q_target = self.vector_matrix, self.source.diag, self.target.diag
+        inv = [[t[j][i] * q / q_source[i] for j, q in enumerate(q_target)] for i in range(len(t))]
         return equivalence_isomorphism(inv, self.target, self.source)
 
     def verify_multiplicative(self) -> bool:
@@ -244,13 +244,16 @@ def equivalence_isomorphism(
 class UniquenessReport:
     """Outcome of solving the pairing axioms as a linear system.
 
-    ``kernel`` holds one symmetric matrix per free direction of the solution
-    set (empty when the solution is unique).  ``kernel_is_volume_twist`` is
-    set when the nullity is exactly one: it records whether that free
-    direction is spanned by the volume-twisted pairing
-    ``D(x, y) = B(x, omega * y)``, the only way the axioms below fail to
-    pin the pairing down (this happens precisely when n = 3 mod 4, where
-    the volume blade is central and fixed by conjugation).
+    The adjunction laws are written for the generators only, which gives
+    the same solution set as writing them for every basis element (see
+    :func:`pairing_uniqueness_report`), so every field is that of the full
+    axiom system.  ``kernel`` holds one symmetric matrix per free direction
+    of the solution set (empty when the solution is unique).
+    ``kernel_is_volume_twist`` is set when the nullity is exactly one: it
+    records whether that free direction is spanned by the volume-twisted
+    pairing ``D(x, y) = B(x, omega * y)``, the only way the axioms below
+    fail to pin the pairing down (this happens precisely when n = 3 mod 4,
+    where the volume blade is central and fixed by conjugation).
     """
 
     n: int
@@ -273,7 +276,13 @@ def pairing_uniqueness_report(
     Unknowns are the values B(e_A, e_B) on unordered pairs of basis blades
     (symmetry built in).  Equations: B(1, 1) = 1; B restricted to grade one
     equals the quadratic form; and both adjointness laws
-    B(x y, z) = B(y, c(x) z) and B(y x, z) = B(y, z c(x)) on all basis
+    B(x y, z) = B(y, c(x) z) and B(y x, z) = B(y, z c(x)) for every
+    generator x = e_g (c(e_g) = -e_g) and all basis blades y, z: 2n 4^n
+    rows.  The elements x that satisfy a law for all y and z form a
+    subalgebra, because c reverses products:
+    B(x1 x2 y, z) = B(x2 y, c(x1) z) = B(y, c(x2) c(x1) z) = B(y, c(x1 x2) z),
+    and likewise on the right.  The generators span V, which generates the
+    algebra, so these rows have the solutions of the laws on all basis
     triples.  The report records whether the system has exactly one
     solution and whether it is the canonical pairing.
 
@@ -297,51 +306,46 @@ def pairing_uniqueness_report(
         return a * dim - a * (a - 1) // 2 + (b - a)
 
     unknowns = dim * (dim + 1) // 2
-    # B(1, 1) = 1 and B on grade one is the form, as integer rows.
-    rows, rhs = [], []
-    fixed = [(unknown(0, 0), 1)] + [
-        (unknown(1 << i, 1 << j), form.diag[i] if i == j else 0)
-        for i in range(form.n)
-        for j in range(i, form.n)
-    ]
-    for key, b in fixed:
-        (r, c), _ = f.scaled([b, 1])
-        rows.append({key: c})
-        rhs.append(r)
+
+    def equation(*cells: tuple) -> list:
+        # The dense int row of [A | -b] with the entries (column, value) added.
+        vec = [0] * (unknowns + 1)
+        for col, v in cells:
+            vec[col] += v
+        return vec
+
+    # B(1, 1) = 1 and B on grade one is the form.
+    rows = [equation((unknown(0, 0), 1), (unknowns, -1))]
+    for i in range(form.n):
+        for j in range(i, form.n):
+            (b, c), _ = f.scaled([form.diag[i] if i == j else 0, 1])
+            rows.append(equation((unknown(1 << i, 1 << j), c), (unknowns, -b)))
 
     if require_parity_invariance:
         # B(alpha(e_a), alpha(e_b)) = B(e_a, e_b) forces the entry to zero
         # whenever the two parity signs disagree.
-        for a in range(dim):
-            for b in range(a, dim):
-                if involute_sign(a) * involute_sign(b) < 0:
-                    rows.append({unknown(a, b): 1})
-                    rhs.append(0)
+        rows += [
+            equation((unknown(a, b), 1))
+            for a in range(dim)
+            for b in range(a, dim)
+            if involute_sign(a) * involute_sign(b) < 0
+        ]
 
-    # e_a e_b = (prods[a][b] / d) e_(a ^ b), as ints from the square table.
+    # e_a e_b = (coef(a, b) / d) e_(a ^ b), as ints from the square table.
     d, squares = form.square_table()
-    prods = [
-        [-squares[a & b] if reorder_parity(a, b) else squares[a & b] for b in range(dim)]
-        for a in range(dim)
-    ]
 
-    def law(lam: int, key: int, mu: int, key2: int) -> None:
-        # The row lam x_key - mu x_key2 = 0, dropped when it reads 0 = 0.
-        row = {key: lam, key2: -mu} if key != key2 else {key: lam - mu}
-        if any(v % f.p if f.p else v for v in row.values()):
-            rows.append(row)
-            rhs.append(0)
+    def coef(a: int, b: int) -> int:
+        return -squares[a & b] if reorder_parity(a, b) else squares[a & b]
 
-    for a in range(dim):
-        csign = conjugate_sign(a)
+    for g in (1 << k for k in range(form.n)):
         for b in range(dim):
             for c in range(dim):
-                # Left-translation law: B(x y, z) = B(y, c(x) z).
-                law(prods[a][b], unknown(a ^ b, c), csign * prods[a][c], unknown(b, a ^ c))
-                # Right-translation law: B(y x, z) = B(y, z c(x)).
-                law(prods[b][a], unknown(b ^ a, c), csign * prods[c][a], unknown(b, c ^ a))
+                # B(e_g e_b, e_c) = -B(e_b, e_g e_c) and B(e_b e_g, e_c) = -B(e_b, e_c e_g).
+                u, v = unknown(g ^ b, c), unknown(b, g ^ c)
+                rows.append(equation((u, coef(g, b)), (v, coef(g, c))))
+                rows.append(equation((u, coef(b, g)), (v, coef(c, g))))
 
-    solution, nullity, consistent, kernel_vecs = linalg.affine_space(rows, rhs, unknowns, f)
+    solution, nullity, consistent, kernel_vecs = linalg.affine_space(rows, unknowns, f)
     rank = unknowns - nullity
     unique = consistent and nullity == 0
 
@@ -359,12 +363,12 @@ def pairing_uniqueness_report(
     twist = None
     if nullity == 1:
         # Proportional to B(x, omega y): the same support and one ratio.
-        # omega e_b = (prods[full][b] / d) e_(full ^ b), so B(e_a, omega e_b)
+        # omega e_b = (coef(full, b) / d) e_(full ^ b), so B(e_a, omega e_b)
         # is that coefficient times g_a on the cells a = full ^ b, else 0.
         full = form.full_mask
         gen = [v for row in kernel[0] for v in row]
         tw = [f.zero] * (dim * dim)
-        for b, num in enumerate(f.quotients(prods[full], d)):
+        for b, num in enumerate(f.quotients([coef(full, b) for b in range(dim)], d)):
             tw[(full ^ b) * dim + b] = num * gram[full ^ b]
         i = next(i for i, v in enumerate(gen) if v)
         ratio = f.div(gen[i], tw[i]) if tw[i] else None

@@ -238,7 +238,8 @@ def format_quaternion(q: Quaternion) -> str:
     return join_terms(parts)
 
 
-_QTERM = re.compile(r"^([+-]?\d+(?:/\d+)?)?\s*\*?\s*([ijk]?)$")
+# A "*" stands only between a coefficient and a unit.
+_QTERM = re.compile(r"^(?:([+-]?\d+(?:/\d+)?)\s*(?:\*\s*(?=[ijk]))?)?([ijk]?)$")
 
 
 def parse_quaternion(text: str) -> Quaternion:

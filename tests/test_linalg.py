@@ -9,12 +9,13 @@ round trips.  The Gauss core over F_p is held to the Bareiss core over Q
 on integer systems up to 12 x 12, reduced mod 3, 7 and 101.  On
 rectangular systems (tall, with pivotless columns, with repeated and
 scaled rows) the forward pass is held to plain Gauss-Jordan pivots and
-cofactor minors, and back substitution to the original rows.  The sparse
-solver is checked by substituting its answers back into the original rows
-and against dense elimination.
+cofactor minors, and back substitution to the original rows.
+``affine_space`` is checked by substituting its answers back into the
+original sparse rows and against plain Gauss-Jordan elimination.
 """
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,9 +42,22 @@ def _mat_vec(a, x, field):
     return [sum((y * v for y, v in zip(row, x)), field.zero) for row in a]
 
 
+def _identity(n, field):
+    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+
+
+def _inverse(a, field):
+    """The inverse of ``a`` from :func:`linalg._eliminate` with the identity
+    as right-hand sides, each row of [a | I] scaled by ``FieldSpec.scaled``;
+    None when singular."""
+    rows = [field.scaled([*row, *e])[0] for row, e in zip(a, _identity(len(a), field))]
+    det, ys = linalg._eliminate(rows, len(a), field.p)
+    return None if ys is None else [field.quotients(y, det) for y in ys]
+
+
 def _solve(a, b, field):
-    """Solve ``a x = b`` through :func:`linalg.invert_matrix`; None when singular."""
-    inv = linalg.invert_matrix(a, field)
+    """Solve ``a x = b`` through :func:`_inverse`; None when singular."""
+    inv = _inverse(a, field)
     if inv is None:
         return None
     return [sum((x * y for x, y in zip(row, b)), field.zero) for row in inv]
@@ -60,7 +74,7 @@ def test_determinant_matches_cofactor_expansion():
 
 def test_determinant_of_identity_and_swap():
     for field in FIELDS:
-        eye = linalg.identity_matrix(4, field)
+        eye = _identity(4, field)
         assert linalg.determinant(eye, field) == field.one
         swapped = [eye[1], eye[0], eye[2], eye[3]]
         assert linalg.determinant(swapped, field) == -field.one
@@ -107,20 +121,20 @@ def test_solve_dense_round_trip():
 def test_solve_dense_reports_singular():
     a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert _solve(a, [Fraction(1), Fraction(1)], RATIONAL) is None
-    assert linalg.invert_matrix(a, RATIONAL) is None
+    assert _inverse(a, RATIONAL) is None
 
 
-def test_invert_matrix_round_trip():
+def test_inverse_round_trip():
     rng = random.Random(SEED + 3)
     for field in FIELDS:
         done = 0
         while done < 10:
             a = _random_matrix(rng, field, 4)
-            inv = linalg.invert_matrix(a, field)
+            inv = _inverse(a, field)
             if inv is None:
                 continue
-            assert _mat_mul(a, inv, field) == linalg.identity_matrix(4, field)
-            assert _mat_mul(inv, a, field) == linalg.identity_matrix(4, field)
+            assert _mat_mul(a, inv, field) == _identity(4, field)
+            assert _mat_mul(inv, a, field) == _identity(4, field)
             done += 1
 
 
@@ -177,13 +191,13 @@ def test_solve_and_inverse_properties(field, data):
     x = [data.draw(_scalars(field)) for _ in range(n)]
     b = _mat_vec(a, x, field) if n else []
     solved = _solve(a, b, field)
-    inv = linalg.invert_matrix(a, field)
+    inv = _inverse(a, field)
     if not cofactor_determinant(a, field):
         assert solved is None and inv is None
         return
     assert solved == x
     if n:
-        eye = linalg.identity_matrix(n, field)
+        eye = _identity(n, field)
         assert _mat_mul(a, inv, field) == eye
         assert _mat_mul(inv, a, field) == eye
     else:
@@ -193,8 +207,6 @@ def test_solve_and_inverse_properties(field, data):
 def test_shape_errors():
     with pytest.raises(DimensionMismatch):
         linalg.determinant([[Fraction(1), Fraction(2)]], RATIONAL)
-    with pytest.raises(DimensionMismatch):
-        linalg.invert_matrix([[Fraction(1), Fraction(2)]], RATIONAL)
 
 
 # -- lazy row scaling ----------------------------------------------------
@@ -271,11 +283,11 @@ def test_lazy_rows_against_cofactors_reduction_mod_p_and_inverses(a):
         assert det == cofactor_determinant(a, RATIONAL)
         assert det13 == cofactor_determinant(a13, F13)
     for field, m, d in ((RATIONAL, a, det), (F13, a13, det13)):
-        inv = linalg.invert_matrix(m, field)
+        inv = _inverse(m, field)
         if not d:
             assert inv is None
             continue
-        eye = linalg.identity_matrix(n, field)
+        eye = _identity(n, field)
         assert _mat_mul(m, inv, field) == eye
         assert _mat_mul(inv, m, field) == eye
 
@@ -325,7 +337,8 @@ def _watched(rows):
 @PROPERTY_SETTINGS
 @given(a=_structured_matrices())
 def test_rational_elimination_leaves_rows_with_a_zero_pivot_entry_alone(a):
-    rows, scale = linalg._integer_rows(a, [[] for _ in a], RATIONAL)
+    scaled = [RATIONAL.scaled(row) for row in a]
+    rows, scale = [ints for ints, _ in scaled], prod(mult for _, mult in scaled)
     det = linalg._eliminate(_watched(rows), len(rows), None)[0]
     assert _mod13(Fraction(det, scale)) == linalg.determinant(
         [[_mod13(v) for v in row] for row in a], F13)
@@ -493,25 +506,25 @@ def test_forward_and_back_substitution_on_rectangular_systems(p, system):
 # -- sparse path ---------------------------------------------------------
 
 
-def _scaled_system(rows, rhs, field):
-    """Sparse rows ``{col: field element}`` and their right-hand sides as
-    int rows and ints, each row scaled with its right-hand side by
+def _scaled_system(rows, rhs, ncols, field):
+    """Sparse rows ``{col: field element}`` over ``ncols`` unknowns and
+    their right-hand sides (None for a homogeneous system) as the dense int
+    rows of [A | -b] that ``affine_space`` takes, each scaled by
     ``FieldSpec.scaled``; no solution changes."""
-    int_rows, int_rhs = [], []
-    for row, b in zip(rows, rhs):
-        ints, _ = field.scaled([b, *row.values()])
-        int_rhs.append(ints[0])
-        int_rows.append(dict(zip(row, ints[1:])))
-    return int_rows, int_rhs
+    return [
+        field.scaled([*(row.get(c, field.zero) for c in range(ncols)),
+                      field.zero if rhs is None else -b])[0]
+        for row, b in zip(rows, rhs or [None] * len(rows))
+    ]
 
 
 def _affine_space(rows, rhs, ncols, field):
     """``affine_space`` on rows of field elements, through the scaling step."""
-    return linalg.affine_space(*_scaled_system(rows, rhs, field), ncols, field)
+    return linalg.affine_space(_scaled_system(rows, rhs, ncols, field), ncols, field)
 
 
 def _check_kernel(rows, ncols, field):
-    _, nullity, _, vecs = _affine_space(rows, [field.zero] * len(rows), ncols, field)
+    _, nullity, _, vecs = _affine_space(rows, None, ncols, field)
     assert len(vecs) == nullity
     for vec in vecs:
         for row in rows:
@@ -619,8 +632,8 @@ def _sparse_systems(draw, field):
     column of an earlier row with a fresh tail, so that eliminating that
     column fills in the earlier row's other columns, and rows of explicit
     zeros, which leave only a right-hand side (0 = b).  Repeats copy an
-    earlier row (the test scales them apart).  Up to two leading columns
-    may be left out of every row, so that they get no pivot.  The
+    earlier row (the test scales most of them apart).  Up to two leading
+    columns may be left out of every row, so that they get no pivot.  The
     right-hand sides come from a witness (a consistent system) or are random.
     """
     ncols = draw(st.integers(0, 8))
@@ -700,19 +713,20 @@ def test_sparse_routines_against_dense_elimination(field, data):
     rank = len(pivots)
     free = [c for c in range(ncols) if c not in pivots]
 
-    # The integer rows of affine_space's contract: each row and its
-    # right-hand side times a nonzero int, which gives content above 1 and
-    # negative leads, and over F_p plus multiples of p, which leaves ints
-    # outside [0, p) (explicit zeros among them).
+    # The integer rows of affine_space's contract: each row of [A | -b]
+    # times a nonzero int, which gives content above 1 and negative leads,
+    # and over F_p plus a multiple of p on every entry, which leaves ints
+    # outside [0, p), zeros among them.  A factor of 1 and no shift keep
+    # the exact repeats the strategy draws.
     p = field.p
-    int_rows, int_rhs = _scaled_system(rows, rhs, field)
+    int_rows = _scaled_system(rows, rhs, ncols, field)
     for i, row in enumerate(int_rows):
-        k = data.draw(st.integers(-30, 30).filter(lambda k: k % p if p else k))
+        factor = st.one_of(st.just(1), st.integers(-30, 30))
+        k = data.draw(factor.filter(lambda k: k % p if p else k))
         t = data.draw(st.integers(-3, 3)) * p if p else 0
-        int_rows[i] = {c: k * v + t for c, v in row.items()}
-        int_rhs[i] = k * int_rhs[i] + t
+        int_rows[i] = [k * v + t for v in row]
 
-    sol, nullity, consistent, kernel = linalg.affine_space(int_rows, int_rhs, ncols, field)
+    sol, nullity, consistent, kernel = linalg.affine_space(int_rows, ncols, field)
     assert ncols - nullity == rank
     assert len(kernel) == ncols - rank
     assert _dense_rank(kernel, field) == len(kernel)
@@ -730,5 +744,6 @@ def test_sparse_routines_against_dense_elimination(field, data):
         assert sol is None
     # The right-hand sides do not change the pivots, and the rows as
     # field elements through the scaling step give the same answer.
-    assert linalg.affine_space(int_rows, None, ncols, field)[3] == kernel
+    homogeneous = [row[:ncols] + [0] for row in int_rows]
+    assert linalg.affine_space(homogeneous, ncols, field)[3] == kernel
     assert _affine_space(rows, rhs, ncols, field) == (sol, nullity, consistent, kernel)

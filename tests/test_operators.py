@@ -1,8 +1,10 @@
 """Translation operators, invertibility, equivalence maps, pairing axioms."""
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffex import (
     RATIONAL,
@@ -20,6 +22,7 @@ from cliffex import (
     right_matrix,
     translation_determinants,
 )
+from cliffex.core import conjugate_sign, involute_sign
 from cliffex.errors import (
     CapExceeded,
     MismatchedForm,
@@ -74,8 +77,9 @@ def test_translation_matrices_reproduce_dense_products(field, n):
 def test_translation_matrix_of_one_is_identity():
     form = QuadraticForm([1, 1])
     one = form.one()
-    assert left_matrix(one) == linalg.identity_matrix(form.dim, form.field)
-    assert right_matrix(one) == linalg.identity_matrix(form.dim, form.field)
+    eye = [[int(i == j) for j in range(form.dim)] for i in range(form.dim)]
+    assert left_matrix(one) == eye
+    assert right_matrix(one) == eye
 
 
 def test_translation_determinants_are_multiplicative():
@@ -227,7 +231,7 @@ def test_pairing_adjoint_is_involutive():
 
 def test_identity_substitution_gives_identity_map():
     form = QuadraticForm([1, 1, -1])
-    t = linalg.identity_matrix(3, form.field)
+    t = [[int(i == j) for j in range(3)] for i in range(3)]
     amap = equivalence_isomorphism(t, form, form)
     for mask in range(form.dim):
         e = form.basis_blade(mask)
@@ -256,6 +260,25 @@ def test_rational_rotation_is_an_automorphism():
     for mask in range(form.dim):
         e = form.basis_blade(mask)
         assert inv.apply(amap.apply(e)) == e
+
+
+@pytest.mark.parametrize("field", [None, F7], ids=["Q", "F7"])
+def test_inverse_generator_matrix_is_a_two_sided_inverse(field):
+    """The inverse map's generator matrix, read from the adjoint, times t
+    is the identity on both sides: on the 3-4-5 rotation of one form, and
+    on a squared scaling e_1 -> e_1 / 2, e_2 -> 3 e_2 from diag:1,45 to
+    diag:4,5."""
+    rotation = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+    scaling = [[Fraction(1, 2), 0], [0, 3]]
+    for t, source, target in ((rotation, [1, 1], [1, 1]), (scaling, [1, 45], [4, 5])):
+        source, target = QuadraticForm(source, field), QuadraticForm(target, field)
+        amap = equivalence_isomorphism(t, source, target)
+        f = source.field
+        t, inv = amap.vector_matrix, amap.inverse().vector_matrix
+        for left, right in ((inv, t), (t, inv)):
+            prod = [[sum((x * y for x, y in zip(row, col)), f.zero) for col in zip(*right)]
+                    for row in left]
+            assert prod == [[f.one if i == j else f.zero for j in range(2)] for i in range(2)]
 
 
 def test_map_respects_products_on_random_elements():
@@ -349,6 +372,91 @@ def test_uniqueness_on_rational_diagonals():
             )
             strict = pairing_uniqueness_report(form, require_parity_invariance=True)
             assert strict.unique and strict.solution == rep.solution
+
+
+@st.composite
+def _small_forms(draw):
+    """Nondegenerate diagonals of rank 1-3 over Q (small fractions), F_3,
+    F_5 and F_7."""
+    field = draw(st.sampled_from((None, FieldSpec.prime(3), FieldSpec.prime(5), F7)))
+    if field is None:
+        entry = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+    else:
+        entry = st.integers(1, field.p - 1)
+    n = draw(st.integers(1, 3))
+    return QuadraticForm(draw(st.lists(entry, min_size=n, max_size=n)), field)
+
+
+def _literal_axiom_rows(form, parity):
+    """``(rows, ncols)``: the int rows of [A | -b] for the pairing axioms
+    with both adjunction laws on every basis triple, x = e_a for each
+    blade a: 2 8^n law rows, read from ``blade_product`` and
+    ``conjugate_sign``, each scaled by ``FieldSpec.scaled``.  The unknowns
+    B(e_a, e_b), a <= b, are numbered as in the report: the packed upper
+    triangle, row-major."""
+    f, dim = form.field, form.dim
+    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
+    index = {pair: i for i, (a, b) in enumerate(pairs) for pair in ((a, b), (b, a))}
+    ncols = len(pairs)
+
+    def row(*cells, rhs=0):
+        vec = [f.zero] * ncols + [-f.element(rhs)]
+        for pair, v in cells:
+            vec[index[pair]] += v
+        return f.scaled(vec)[0]
+
+    rows = [row(((0, 0), f.one), rhs=1)]
+    rows += [row(((1 << i, 1 << j), f.one), rhs=form.diag[i] if i == j else 0)
+             for i in range(form.n) for j in range(i, form.n)]
+    if parity:
+        rows += [row((pair, f.one)) for pair in pairs
+                 if involute_sign(pair[0]) != involute_sign(pair[1])]
+    for a in range(dim):
+        s = conjugate_sign(a)
+        for b in range(dim):
+            for c in range(dim):
+                ab, ac = form.blade_product(a, b), form.blade_product(a, c)
+                ba, ca = form.blade_product(b, a), form.blade_product(c, a)
+                # B(e_a e_b, e_c) = B(e_b, c(e_a) e_c), B(e_b e_a, e_c) = B(e_b, e_c c(e_a)).
+                rows.append(row(((ab.mask, c), ab.coef), ((b, ac.mask), -s * ac.coef)))
+                rows.append(row(((ba.mask, c), ba.coef), ((b, ca.mask), -s * ca.coef)))
+    return rows, ncols
+
+
+def _literal_report(form, parity):
+    """The report with its solve handed the literal system of
+    :func:`_literal_axiom_rows` in place of the generator laws."""
+    literal_rows, ncols = _literal_axiom_rows(form, parity)
+    solve = linalg.affine_space
+
+    def literal(rows, n, field):
+        assert n == ncols and len(rows) < len(literal_rows)
+        return solve(literal_rows, ncols, field)
+
+    with mock.patch.object(linalg, "affine_space", literal):
+        return pairing_uniqueness_report(form, require_parity_invariance=parity)
+
+
+@settings(deadline=None, derandomize=True, max_examples=50)
+@given(form=_small_forms(), parity=st.booleans())
+def test_generator_laws_give_the_report_of_the_literal_axiom_system(form, parity):
+    """The report writes the adjunction laws for the generators only; every
+    field is that of the literal system, both laws on every basis triple."""
+    assert pairing_uniqueness_report(form, require_parity_invariance=parity) == _literal_report(
+        form, parity)
+
+
+@pytest.mark.parametrize("field", [None, F7], ids=["Q", "F7"])
+def test_generator_laws_at_rank_four(monkeypatch, field):
+    """On the forms above, dropping either adjunction law changes no report
+    at ranks 1-3; at rank 4 each law binds (without one the nullity is 5),
+    so one rank-4 form is held to the literal system, with the cap raised."""
+    monkeypatch.setattr(caps, "UNIQUENESS_SOLVE", 4)
+    form = QuadraticForm([1, -1, 2, 3], field)
+    for parity in (False, True):
+        rep = pairing_uniqueness_report(form, require_parity_invariance=parity)
+        assert rep.unique and rep.matches_canonical
+        assert rep == _literal_report(form, parity)
 
 
 def test_uniqueness_solver_cap(monkeypatch):

@@ -125,7 +125,8 @@ def test_parse_accepts_loose_input():
 
 
 def test_parse_rejects_malformed_input():
-    for bad in ["", "  ", "1 + + i", "q", "2m", "i2", "1 +", "--i", "1/0", "2 + 3/0 j"]:
+    for bad in ["", "  ", "1 + + i", "q", "2m", "i2", "1 +", "--i", "1/0", "2 + 3/0 j",
+                "2*", "*i"]:
         with pytest.raises(ParseError):
             parse_quaternion(bad)
 

@@ -211,8 +211,8 @@ def _literal_centralizer_kernel(form, masks):
         g = 1 << k
         for col, m in enumerate(masks):
             rows.append({col: form.blade_product(m, g).coef - form.blade_product(g, m).coef})
-    int_rows, _ = _scaled_system(rows, [f.zero] * len(rows), f)
-    kernel = linalg.affine_space(int_rows, None, len(masks), f)[3]
+    int_rows = _scaled_system(rows, None, len(masks), f)
+    kernel = linalg.affine_space(int_rows, len(masks), f)[3]
     return [form.multivector({m: v for m, v in zip(masks, vec) if v}) for vec in kernel]
 
 

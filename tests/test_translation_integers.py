@@ -4,7 +4,8 @@
 the integer rows c L_x directly; ``left_matrix`` and ``right_matrix`` divide
 the same rows by c.  Here they are held against routes that share none of
 that scaling: the columns x e_j and e_j x of algebra products, and the
-determinant and inverse of ``linalg`` on the field-element matrices.  The
+determinant of ``linalg`` and a solve by its elimination core on the
+field-element matrices, each row scaled by ``FieldSpec.scaled``.  The
 forms cover Q with an integer and with a rational diagonal, and F_3, F_7
 and F_101, at ranks 1-5; the elements are units, constructed zero divisors
 (r + u) y with u u = r^2, one-term elements and random ones.
@@ -164,7 +165,10 @@ def test_integer_route_matches_the_field_element_route(key, data):
     assert is_zero_divisor(x) == (not det_l)
     if det_l:
         # L_x^-1 e_0, the first column of the inverse matrix.
-        want = [row[0] for row in linalg.invert_matrix(left_matrix(x), f)]
+        rows = [f.scaled([*row, f.one if i == 0 else f.zero])[0]
+                for i, row in enumerate(left_matrix(x))]
+        det, ys = linalg._eliminate(rows, form.dim, f.p)
+        want = f.quotients([y[0] for y in ys], det)
         assert list(inverse(x).coeffs) == want
     else:
         with pytest.raises(NotInvertible):

@@ -14,6 +14,12 @@ the concatenated index word into ascending order.  Generators square to
 A :class:`Multivector` stores one coefficient per mask (dense tuple) and is
 immutable; all arithmetic returns new values.  Coefficients live in the
 field named by the form's :class:`~cliffex.field.FieldSpec`.
+
+The product reads each row's signs from one mask, :func:`sign_mask`, and
+each scale from the integer :meth:`QuadraticForm.square_table`: a square
+of ±1 (±d, or p - 1 over F_p) only sets the sign, any other is multiplied
+in, and ``pair`` reads the Gram entries the same way.  Sums, negation and
+scalar multiples do no field operation on a zero slot.
 """
 from __future__ import annotations
 
@@ -41,6 +47,22 @@ def reorder_parity(a: int, b: int) -> int:
         t += (a >> low.bit_length()).bit_count()
         bb ^= low
     return t & 1
+
+
+def sign_mask(a: int, left: bool = True) -> int:
+    """The mask w with ``reorder_parity(a, b) == (b & w).bit_count() & 1``
+    for every b; with ``left`` false, ``reorder_parity(b, a)`` instead.
+
+    Bit j of w is the parity of the indices of ``a`` above j (below j for
+    the right-hand twin), so one row of products reads its signs with one
+    AND and one popcount each.  The right-hand mask may be negative.
+    """
+    w = 0
+    while a:
+        low = a & -a
+        w ^= low - 1 if left else -(low << 1)
+        a ^= low
+    return w
 
 
 def reorder_sign(a: int, b: int) -> int:
@@ -369,8 +391,9 @@ class Multivector:
     def __add__(self, other):
         if isinstance(other, Multivector):
             self._check_mate(other)
+            pairs = zip(self.coeffs, other.coeffs)
             return Multivector._make(
-                self.form, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+                self.form, tuple((a + b if a else b) if b else a for a, b in pairs)
             )
         s = self._as_scalar(other)
         if s is None:
@@ -384,8 +407,9 @@ class Multivector:
     def __sub__(self, other):
         if isinstance(other, Multivector):
             self._check_mate(other)
+            pairs = zip(self.coeffs, other.coeffs)
             return Multivector._make(
-                self.form, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+                self.form, tuple((a - b if a else -b) if b else a for a, b in pairs)
             )
         s = self._as_scalar(other)
         if s is None:
@@ -398,42 +422,47 @@ class Multivector:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Multivector._make(self.form, tuple(-c for c in self.coeffs))
+        return Multivector._make(self.form, tuple(-c if c else c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._check_mate(other)
             form = self.form
-            zero = form.field.zero
-            out = [zero] * form.dim
-            right = [(m, c) for m, c in enumerate(other.coeffs) if c]
+            d, squares = form.square_table()
+            minus = form.field.p - 1 if form.field.p else -d  # squares[m] when e_m^2 = -1
             sqf = form.square_factor
+            out = [form.field.zero] * form.dim
+            right = [(m, c) for m, c in enumerate(other.coeffs) if c]
             for mi, ci in enumerate(self.coeffs):
                 if not ci:
                     continue
+                w = sign_mask(mi)
                 for mj, cj in right:
+                    s = squares[mi & mj]
                     term = ci * cj
-                    common = mi & mj
-                    if common:
-                        term = term * sqf(common)
+                    flip = (mj & w).bit_count()
+                    if s != d:
+                        if s == minus:
+                            flip += 1
+                        else:
+                            term = term * sqf(mi & mj)
                     k = mi ^ mj
-                    if reorder_parity(mi, mj):
-                        out[k] = out[k] - term
-                    else:
-                        out[k] = out[k] + term
+                    out[k] = out[k] - term if flip & 1 else out[k] + term
             return Multivector._make(form, tuple(out))
-        s = self._as_scalar(other)
-        if s is None:
-            return NotImplemented
-        return Multivector._make(self.form, tuple(c * s for c in self.coeffs))
+        return self._scalar_multiple(other)
 
     def __rmul__(self, other):
         # Scalars commute with everything; Multivector * Multivector never
         # reaches here.
+        return self._scalar_multiple(other)
+
+    def _scalar_multiple(self, other):
         s = self._as_scalar(other)
         if s is None:
             return NotImplemented
-        return Multivector._make(self.form, tuple(s * c for c in self.coeffs))
+        if not s:
+            return self.form.zero()
+        return Multivector._make(self.form, tuple(c * s if c else c for c in self.coeffs))
 
     def commutator(self, other: "Multivector") -> "Multivector":
         return self * other - other * self
@@ -465,8 +494,10 @@ class Multivector:
     # -- involutions -----------------------------------------------------
 
     def _signed(self, sign_fn) -> "Multivector":
+        # One sign per grade, read off the blade e_1 ... e_k.
+        flip = [sign_fn((1 << k) - 1) < 0 for k in range(self.form.n + 1)]
         coeffs = tuple(
-            -c if (c and sign_fn(m) < 0) else c for m, c in enumerate(self.coeffs)
+            -c if (c and flip[m.bit_count()]) else c for m, c in enumerate(self.coeffs)
         )
         return Multivector._make(self.form, coeffs)
 
@@ -495,10 +526,18 @@ class Multivector:
         """Canonical bilinear pairing: scalar part of self * conjugate(other),
         which is the sum of x_I y_I g_I over the Gram diagonal g."""
         self._check_mate(other)
-        total = self.form.field.zero
-        for c, d, g in zip(self.coeffs, other.coeffs, self.form.gram_diagonal()):
-            if c and d:
-                total = total + c * d * g
+        form = self.form
+        d, squares = form.square_table()
+        minus = form.field.p - 1 if form.field.p else -d
+        total = form.field.zero
+        for m, (x, y, g) in enumerate(zip(self.coeffs, other.coeffs, form.gram_diagonal())):
+            if x and y:
+                # g_m = (-1)^|m| sq(m): a sign when the square is a unit.
+                s = squares[m]
+                if s == d or s == minus:
+                    total = total - x * y if (m.bit_count() + (s != d)) & 1 else total + x * y
+                else:
+                    total = total + x * y * g
         return total
 
     # -- text ------------------------------------------------------------

@@ -18,6 +18,7 @@ from .core import (
     QuadraticForm,
     involute_sign,
     reorder_parity,
+    sign_mask,
 )
 from .errors import (
     DimensionMismatch,
@@ -45,11 +46,7 @@ def _translation_matrix(a: Multivector, left: bool) -> tuple:
     scale, neg = d_a * d, p or 0
     rows = [[0] * dim for _ in range(dim)]
     for mi, ci in zip(masks, ints):
-        w = sum(
-            1 << b
-            for b in range(form.n)
-            if (reorder_parity(mi, 1 << b) if left else reorder_parity(1 << b, mi))
-        )
+        w = sign_mask(mi, left)
         cell = [ci * s % p for s in squares] if p else [ci * s for s in squares]
         for mj in range(dim):
             v = cell[mi & mj]

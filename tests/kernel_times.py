@@ -1,0 +1,63 @@
+"""Median times of the multivector kernel, as a check on the roadmap's
+layer targets (a dense product at n = 8 in 45 ms over Q and 19 ms over
+F_101).
+
+Run by hand with the package importable, like ``python tests/test_size.py``:
+
+    python tests/kernel_times.py [--repeat R]
+
+Each row is the median of R timed calls (default 5) on seeded dense
+operands: products at n = 6, 7 and 8 on a signature form and on a
+fractional diagonal over Q, and on the signature form over F_101; then
+``pair``, ``involute`` and ``+`` at n = 8.  pytest does not collect this
+file.
+"""
+import argparse
+import timeit
+from random import Random
+from statistics import median
+
+from cliffex.core import QuadraticForm
+from cliffex.field import FieldSpec
+from cliffex.reference import random_multivector
+
+Q, F101 = FieldSpec.rational(), FieldSpec.prime(101)
+FRACTIONAL = ("1/2", "2", "-3", "1", "-1/3", "3", "-2", "1/2")
+
+
+def signature(n: int) -> str:
+    return f"sig:{(n + 1) // 2},{n // 2}"
+
+
+def fractional(n: int) -> str:
+    return "diag:" + ",".join(FRACTIONAL[:n])
+
+
+def cases():
+    """(label, form, operation on two dense operands)."""
+    mul = lambda x, y: x * y
+    for n in (6, 7, 8):
+        yield f"product  n={n} Q    {signature(n)}", QuadraticForm.from_text(signature(n), Q), mul
+        yield f"product  n={n} Q    {fractional(n)}", QuadraticForm.from_text(fractional(n), Q), mul
+        yield f"product  n={n} F101 {signature(n)}", QuadraticForm.from_text(signature(n), F101), mul
+    for field, tag in ((Q, "Q   "), (F101, "F101")):
+        form = QuadraticForm.from_text(signature(8), field)
+        yield f"pair     n=8 {tag} {signature(8)}", form, lambda x, y: x.pair(y)
+        yield f"involute n=8 {tag} {signature(8)}", form, lambda x, y: x.involute()
+        yield f"sum      n=8 {tag} {signature(8)}", form, lambda x, y: x + y
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args()
+    for label, form, op in cases():
+        rng = Random(20170)
+        x, y = random_multivector(rng, form), random_multivector(rng, form)
+        number = 1 if label.startswith("product") else 20
+        runs = timeit.repeat(lambda: op(x, y), number=number, repeat=args.repeat)
+        print(f"{label:<48} {median(runs) / number * 1e3:10.3f} ms")
+
+
+if __name__ == "__main__":
+    main()

@@ -7,8 +7,10 @@ production path uses.
 import operator
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffex import (
     RATIONAL,
@@ -23,7 +25,7 @@ from cliffex import (
     parse_multivector,
     reorder_sign,
 )
-from cliffex.core import conjugate_sign, involute_sign, reverse_sign
+from cliffex.core import conjugate_sign, involute_sign, reorder_parity, reverse_sign, sign_mask
 from cliffex.errors import (
     DegenerateForm,
     IndexOutOfRange,
@@ -492,3 +494,126 @@ def test_str_uses_the_grammar():
     form = QuadraticForm([1, 1])
     x = form.parse("1 - e2")
     assert str(x) == "1 - e2"
+
+
+# -- the product kernel ----------------------------------------------------
+#
+# Multivector's product, pairing, involutions and slotwise arithmetic
+# against oracles that share none of its shortcuts: products and signs by
+# sorting index words, the pairing by its definition, sums slot by slot.
+
+KERNEL_FIELDS = (RATIONAL, FieldSpec.prime(3), FieldSpec.prime(7), FieldSpec.prime(101))
+
+
+@lru_cache(maxsize=None)
+def _word_product(form, a, b):
+    return blade_word_product(mask_to_word(a), mask_to_word(b), form)
+
+
+def _oracle_product(x, y):
+    form = x.form
+    out = [form.field.zero] * form.dim
+    for a, ca in x.terms():
+        for b, cb in y.terms():
+            coef, mask = _word_product(form, a, b)
+            out[mask] = out[mask] + ca * cb * coef
+    return out
+
+
+def _oracle_involution(x, kind):
+    # A reversed word sorts back with the reversal sign; conjugation also
+    # negates each generator.
+    out = []
+    for m, c in enumerate(x.coeffs):
+        word = mask_to_word(m)
+        reverse = blade_word_product(word[::-1], (), x.form)[0] if kind != "grade" else 1
+        odd = len(word) & 1 and kind != "reverse"
+        out.append(-c * reverse if odd else c * reverse)
+    return out
+
+
+@st.composite
+def _kernel_diagonals(draw, field, kind):
+    """Six diagonal entries over ``field``: units, non-unit integers, or
+    fractions whose first two entries multiply to ±1, so that e_12 squares
+    to ±1 while d != 1."""
+    p = field.p or 1 << 64
+    ints = st.integers(-5, 5).filter(lambda v: v % p)
+    if kind == "unit":
+        return draw(st.lists(st.sampled_from((1, -1)), min_size=6, max_size=6))
+    if kind == "integer":
+        return draw(st.lists(ints.filter(lambda v: abs(v) > 1), min_size=6, max_size=6))
+    fractions = st.builds(Fraction, ints, ints.filter(lambda v: v > 1))
+    r = draw(fractions)
+    return [r, draw(st.sampled_from((1, -1))) / r] + draw(st.lists(fractions, min_size=4, max_size=4))
+
+
+def _check_kernel(x, y, s):
+    form, field = x.form, x.form.field
+    results = {
+        "product": (x * y, _oracle_product(x, y)),
+        "sum": (x + y, [a + b for a, b in zip(x.coeffs, y.coeffs)]),
+        "difference": (x - y, [a - b for a, b in zip(x.coeffs, y.coeffs)]),
+        "negation": (-x, [-a for a in x.coeffs]),
+        "scaled": (x * s, [a * s for a in x.coeffs]),
+        "left scaled": (s * x, [s * a for a in x.coeffs]),
+    }
+    for kind in ("grade", "reverse", "conj"):
+        results[kind] = (x.involution(kind), _oracle_involution(x, kind))
+    for name, (got, want) in results.items():
+        assert list(got.coeffs) == want, name
+        assert all(field.owns(c) for c in got.coeffs), name
+    conj = form.multivector(_oracle_involution(y, "conj"))
+    assert x.pair(y) == _oracle_product(x, conj)[0] == product_pairing(x, y)
+    assert all(field.owns(v) for v in (x.pair(y), y.pair(x)))
+
+
+@pytest.mark.parametrize("kind", ["unit", "integer", "fraction"])
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.to_text())
+def test_kernel_against_word_oracles(field, kind):
+    """At every rank 1-6 on the drawn diagonal's leading entries: dense,
+    sparse and zero operands in every order, scaled by 0, ±1 and 3."""
+    @settings(deadline=None, derandomize=True, max_examples=4, database=None)
+    @given(diag=_kernel_diagonals(field, kind), seed=st.integers(0, 2**32))
+    def check(diag, seed):
+        rng = random.Random(seed)
+        scalars = [field.zero, field.one, -field.one, field.element(3)]
+        for n in range(1, 7):
+            form = QuadraticForm(diag[:n], field)
+            dense, sparse = random_multivector(rng, form), random_multivector(rng, form, 3)
+            for x, y in ((dense, sparse), (sparse, dense), (sparse, sparse), (form.zero(), dense)):
+                _check_kernel(x, y, rng.choice(scalars))
+            _check_kernel(dense, random_multivector(rng, form), rng.choice(scalars))
+
+    check()
+
+
+def test_sign_mask_against_reorder_parity():
+    for a in range(64):
+        left, right = sign_mask(a), sign_mask(a, left=False)
+        for b in range(64):
+            assert reorder_parity(a, b) == (b & left).bit_count() & 1
+            assert reorder_parity(b, a) == (b & right).bit_count() & 1
+    rng = random.Random(SEED + 16)
+    for _ in range(2000):
+        a, b = rng.randrange(1 << 16), rng.randrange(1 << 16)
+        assert reorder_parity(a, b) == (b & sign_mask(a)).bit_count() & 1
+        assert reorder_parity(b, a) == (b & sign_mask(a, left=False)).bit_count() & 1
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.to_text())
+def test_zero_rule(field):
+    """Zero slots stay the field's own zero: nothing leaks as an int or a
+    None, and adding zero changes neither the value nor its hash."""
+    rng = random.Random(SEED + 17)
+    for text in ("sig:2,2", "diag:1/2,2,-5"):
+        form = QuadraticForm.from_text(text, field)
+        zero = form.zero()
+        for terms in (None, 0, 1, 3):
+            x = random_multivector(rng, form, terms)
+            assert x - x == zero
+            assert x * field.zero == zero == field.zero * x
+            assert x * 0 == zero == 0 * x
+            assert hash(x + zero) == hash(x) == hash(zero + x)
+            for got in (x - x, x * field.zero, x + zero, -x, x * zero, x.reverse()):
+                assert all(field.owns(c) for c in got.coeffs)

@@ -17,9 +17,8 @@ field named by the form's :class:`~cliffex.field.FieldSpec`.
 
 The product reads each row's signs from one mask, :func:`sign_mask`, and
 each scale from the integer :meth:`QuadraticForm.square_table`: a square
-of ±1 (±d, or p - 1 over F_p) only sets the sign, any other is multiplied
-in, and ``pair`` reads the Gram entries the same way.  Sums, negation and
-scalar multiples do no field operation on a zero slot.
+of ±1 (:meth:`QuadraticForm.unit_squares`) only sets the sign, any other
+is multiplied in, and ``pair`` reads the Gram entries the same way.
 """
 from __future__ import annotations
 
@@ -40,18 +39,13 @@ from .field import NUMBERS, RATIONAL, FieldElement, FieldSpec
 
 def reorder_parity(a: int, b: int) -> int:
     """Parity (0 or 1) of the interleave sort of index words I then J."""
-    t = 0
-    bb = b
-    while bb:
-        low = bb & -bb
-        t += (a >> low.bit_length()).bit_count()
-        bb ^= low
-    return t & 1
+    return (b & sign_mask(a)).bit_count() & 1
 
 
 def sign_mask(a: int, left: bool = True) -> int:
-    """The mask w with ``reorder_parity(a, b) == (b & w).bit_count() & 1``
-    for every b; with ``left`` false, ``reorder_parity(b, a)`` instead.
+    """The mask w with ``(b & w).bit_count() & 1`` the parity of sorting
+    the index words of ``a`` then ``b``, for every b (of ``b`` then ``a``
+    with ``left`` false).
 
     Bit j of w is the parity of the indices of ``a`` above j (below j for
     the right-hand twin), so one row of products reads its signs with one
@@ -242,6 +236,13 @@ class QuadraticForm:
             self._squares = (d, tuple(squares))
         return self._squares
 
+    def unit_squares(self) -> tuple:
+        """``(d, minus, squares)`` from :meth:`square_table`: e_m squares to
+        +1 when squares[m] == d and to -1 when squares[m] == minus (-d over
+        Q, p - 1 over F_p)."""
+        d, squares = self.square_table()
+        return d, (self.field.p - 1 if self.field.p else -d), squares
+
     def blade_square(self, mask: int) -> FieldElement:
         """The scalar e_I * e_I."""
         return self.blade_product(mask, mask).coef
@@ -391,9 +392,8 @@ class Multivector:
     def __add__(self, other):
         if isinstance(other, Multivector):
             self._check_mate(other)
-            pairs = zip(self.coeffs, other.coeffs)
             return Multivector._make(
-                self.form, tuple((a + b if a else b) if b else a for a, b in pairs)
+                self.form, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
             )
         s = self._as_scalar(other)
         if s is None:
@@ -407,9 +407,8 @@ class Multivector:
     def __sub__(self, other):
         if isinstance(other, Multivector):
             self._check_mate(other)
-            pairs = zip(self.coeffs, other.coeffs)
             return Multivector._make(
-                self.form, tuple((a - b if a else -b) if b else a for a, b in pairs)
+                self.form, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
             )
         s = self._as_scalar(other)
         if s is None:
@@ -422,14 +421,13 @@ class Multivector:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Multivector._make(self.form, tuple(-c if c else c for c in self.coeffs))
+        return Multivector._make(self.form, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._check_mate(other)
             form = self.form
-            d, squares = form.square_table()
-            minus = form.field.p - 1 if form.field.p else -d  # squares[m] when e_m^2 = -1
+            d, minus, squares = form.unit_squares()
             sqf = form.square_factor
             out = [form.field.zero] * form.dim
             right = [(m, c) for m, c in enumerate(other.coeffs) if c]
@@ -460,9 +458,7 @@ class Multivector:
         s = self._as_scalar(other)
         if s is None:
             return NotImplemented
-        if not s:
-            return self.form.zero()
-        return Multivector._make(self.form, tuple(c * s if c else c for c in self.coeffs))
+        return Multivector._make(self.form, tuple(c * s for c in self.coeffs))
 
     def commutator(self, other: "Multivector") -> "Multivector":
         return self * other - other * self
@@ -527,8 +523,7 @@ class Multivector:
         which is the sum of x_I y_I g_I over the Gram diagonal g."""
         self._check_mate(other)
         form = self.form
-        d, squares = form.square_table()
-        minus = form.field.p - 1 if form.field.p else -d
+        d, minus, squares = form.unit_squares()
         total = form.field.zero
         for m, (x, y, g) in enumerate(zip(self.coeffs, other.coeffs, form.gram_diagonal())):
             if x and y:

@@ -11,7 +11,6 @@ pairing axioms) come straight in.
 """
 from __future__ import annotations
 
-from math import gcd
 from typing import Optional
 
 from .errors import DimensionMismatch
@@ -136,20 +135,6 @@ def determinant(rows: Matrix, field: FieldSpec) -> FieldElement:
     return field.quotients([_eliminate(ints, n, field.p)[0]], scale)[0]
 
 
-def _canonical(row: list, p: Optional[int]) -> tuple:
-    """One multiple of ``row`` for every nonzero multiple: over Q divided by
-    the gcd with a positive leading entry, over F_p residues with a leading
-    1.  A zero row stays zero."""
-    if p is not None:
-        row = [v % p for v in row]
-        inv = pow(next(filter(None, row), 1), -1, p)
-        return tuple(row) if inv == 1 else tuple(v * inv % p for v in row)
-    g = gcd(*row)
-    if next(filter(None, row), 0) < 0:
-        g = -g
-    return tuple(row) if g in (0, 1) else tuple(v // g for v in row)
-
-
 def affine_space(rows: list, ncols: int, field: FieldSpec) -> tuple:
     """Solve ``A x = b`` in ``ncols`` unknowns over ``field``.
 
@@ -161,16 +146,16 @@ def affine_space(rows: list, ncols: int, field: FieldSpec) -> tuple:
     free column, ascending, with a 1 in its free slot and 0 in the other
     free slots; it does not depend on b.
 
-    This is the kernel of ``[A | -b]``: each row is eliminated once up to
-    a nonzero multiple (see :func:`_canonical`), and column ``ncols`` gets
-    no pivot.  :func:`_back` takes every column without a pivot as a
-    right-hand side, the vector with a 1 in free slot c is -ys / det on
-    the pivot slots, and the solution is the one with a 1 in slot
-    ``ncols``.
+    This is the kernel of ``[A | -b]``: each distinct row (mod p over F_p)
+    is eliminated once, and column ``ncols`` gets no pivot.  :func:`_back`
+    takes every column without a pivot as a right-hand side, the vector
+    with a 1 in free slot c is -ys / det on the pivot slots, and the
+    solution is the one with a 1 in slot ``ncols``.
     """
     p = field.p
-    distinct = dict.fromkeys(map(tuple, rows))  # exact repeats are dropped cheaply first
-    dense = [list(row) for row in dict.fromkeys(_canonical(row, p) for row in distinct)]
+    if p is not None:
+        rows = ([v % p for v in row] for row in rows)
+    dense = [list(row) for row in dict.fromkeys(map(tuple, rows))]
     det, pivots = _forward(dense, ncols, p)
     free = sorted(set(range(ncols + 1)) - set(pivots))
     ys = _back(dense, pivots, det, free, p)

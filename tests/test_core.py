@@ -588,17 +588,23 @@ def test_kernel_against_word_oracles(field, kind):
     check()
 
 
-def test_sign_mask_against_reorder_parity():
+def _inversions(a, b):
+    """Parity of the pairs (i, j), i in word a and j in word b, with i > j:
+    the transpositions that sort the word a then b."""
+    return sum(i > j for i in mask_to_word(a) for j in mask_to_word(b)) & 1
+
+
+def test_sign_mask_against_word_inversions():
     for a in range(64):
         left, right = sign_mask(a), sign_mask(a, left=False)
         for b in range(64):
-            assert reorder_parity(a, b) == (b & left).bit_count() & 1
-            assert reorder_parity(b, a) == (b & right).bit_count() & 1
+            assert (b & left).bit_count() & 1 == _inversions(a, b) == reorder_parity(a, b)
+            assert (b & right).bit_count() & 1 == _inversions(b, a) == reorder_parity(b, a)
     rng = random.Random(SEED + 16)
     for _ in range(2000):
         a, b = rng.randrange(1 << 16), rng.randrange(1 << 16)
-        assert reorder_parity(a, b) == (b & sign_mask(a)).bit_count() & 1
-        assert reorder_parity(b, a) == (b & sign_mask(a, left=False)).bit_count() & 1
+        assert (b & sign_mask(a)).bit_count() & 1 == _inversions(a, b)
+        assert (b & sign_mask(a, left=False)).bit_count() & 1 == _inversions(b, a)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.to_text())

@@ -459,22 +459,6 @@ def test_generator_laws_at_rank_four(monkeypatch, field):
         assert rep == _literal_report(form, parity)
 
 
-@pytest.mark.parametrize("field", [None, FieldSpec.prime(3), F7], ids=["Q", "F3", "F7"])
-def test_uniqueness_solve_eliminates_each_equation_once(field):
-    """The generator laws write 391 rows on sig:2,1 and 68 on sig:1,1;
-    affine_space keeps one multiple of each, 79 and 18, for ranks 35 and 10."""
-    forward, seen = linalg._forward, []
-
-    def spy(rows, ncols, p, square=False):
-        seen.append(len(rows))
-        return forward(rows, ncols, p, square)
-
-    with mock.patch.object(linalg, "_forward", spy):
-        ranks = [pairing_uniqueness_report(QuadraticForm.from_text(text, field)).rank
-                 for text in ("sig:2,1", "sig:1,1")]
-    assert seen == [79, 18] and ranks == [35, 10]
-
-
 def test_uniqueness_solver_cap(monkeypatch):
     with pytest.raises(CapExceeded, match="UNIQUENESS_SOLVE capped at n = 3"):
         pairing_uniqueness_report(QuadraticForm([1, 1, 1, 1]))

@@ -4,8 +4,9 @@ Over the reals with a positive definite form, the algebra of rank n is a
 matrix algebra (or a double of one) over R, C, or H, repeating with period
 8 in n while the matrix size scales by 16 per period.  The isometry group
 of the canonical pairing follows the same rhythm through the orthogonal,
-unitary, and symplectic families.  This module hard-codes the two period-8
-tables, exposes exact dimension formulas, and verifies the structural
+unitary, and symplectic families on the same matrix size and doubling.
+This module hard-codes the one period-8 table of algebras, reads the group
+from it, exposes exact dimension formulas, and verifies the structural
 payload (Lie dimension, center, Killing definiteness, algebra dimension)
 against the exact engine for small ranks.
 """
@@ -33,16 +34,7 @@ _ALGEBRA_TABLE = {
     7: ("R", 3, True),
 }
 
-_GROUP_TABLE = {
-    0: ("O", 0, False),
-    1: ("U", 0, False),
-    2: ("Sp", 0, False),
-    3: ("Sp", 0, True),
-    4: ("Sp", 1, False),
-    5: ("U", 2, False),
-    6: ("O", 3, False),
-    7: ("O", 3, True),
-}
+_GROUP_FAMILY = {"R": "O", "C": "U", "H": "Sp"}  # the unitary group over each base
 
 
 @dataclass(frozen=True)
@@ -94,11 +86,10 @@ def matrix_algebra_of(n: int) -> MatrixAlgebra:
 
 
 def isometry_group_of(n: int) -> IsometryGroup:
-    """Table entry for the isometry group of the canonical pairing."""
-    if n < 1:
-        raise CapExceeded(f"rank must be at least 1, got {n}")
-    family, offset, double = _GROUP_TABLE[n % 8]
-    return IsometryGroup(family, 1 << (4 * (n // 8) + offset), double)
+    """The isometry group of the canonical pairing: the unitary group of the
+    algebra table's base field, on the same matrix size and doubling."""
+    algebra = matrix_algebra_of(n)
+    return IsometryGroup(_GROUP_FAMILY[algebra.base], algebra.size, algebra.double)
 
 
 def expected_lie_center_dim(n: int) -> int:

@@ -263,21 +263,16 @@ class QuadraticForm:
     # -- element constructors --------------------------------------------
 
     def zero(self) -> "Multivector":
-        return Multivector._make(self, (self.field.zero,) * self.dim)
+        return self.multivector({})
 
     def one(self) -> "Multivector":
         return self.scalar(1)
 
     def scalar(self, value) -> "Multivector":
-        coeffs = [self.field.zero] * self.dim
-        coeffs[0] = self.field.element(value)
-        return Multivector._make(self, tuple(coeffs))
+        return self.multivector({0: value})
 
     def basis_blade(self, mask: int) -> "Multivector":
-        self.check_mask(mask)
-        coeffs = [self.field.zero] * self.dim
-        coeffs[mask] = self.field.one
-        return Multivector._make(self, tuple(coeffs))
+        return self.multivector({mask: 1})
 
     def generator(self, index: int) -> "Multivector":
         """The grade-1 generator e_index, indices 1-based."""
@@ -287,26 +282,21 @@ class QuadraticForm:
 
     def vector(self, components: Iterable) -> "Multivector":
         """Grade-1 element with the given n components."""
-        comps = [self.field.element(c) for c in components]
+        comps = list(components)
         if len(comps) != self.n:
             raise MismatchedForm(f"expected {self.n} components, got {len(comps)}")
-        coeffs = [self.field.zero] * self.dim
-        for i, c in enumerate(comps):
-            coeffs[1 << i] = c
-        return Multivector._make(self, tuple(coeffs))
+        return self.multivector({1 << i: c for i, c in enumerate(comps)})
 
     def multivector(self, data) -> "Multivector":
         """Build from a mask -> coefficient mapping or a dense sequence."""
-        coeffs = [self.field.zero] * self.dim
         if isinstance(data, dict):
+            coeffs = [self.field.zero] * self.dim
             for mask, val in data.items():
-                self.check_mask(mask)
-                coeffs[mask] = coeffs[mask] + self.field.element(val)
+                coeffs[self.check_mask(mask)] = self.field.element(val)
         else:
-            seq = list(data)
-            if len(seq) != self.dim:
-                raise MismatchedForm(f"expected {self.dim} coefficients, got {len(seq)}")
-            coeffs = [self.field.element(v) for v in seq]
+            coeffs = [self.field.element(v) for v in data]
+            if len(coeffs) != self.dim:
+                raise MismatchedForm(f"expected {self.dim} coefficients, got {len(coeffs)}")
         return Multivector._make(self, tuple(coeffs))
 
     def volume_element(self) -> "Multivector":
@@ -331,11 +321,8 @@ class Multivector:
     __slots__ = ("form", "coeffs")
 
     def __init__(self, form: QuadraticForm, coeffs: Iterable):
-        vals = [form.field.element(v) for v in coeffs]
-        if len(vals) != form.dim:
-            raise MismatchedForm(f"expected {form.dim} coefficients, got {len(vals)}")
         object.__setattr__(self, "form", form)
-        object.__setattr__(self, "coeffs", tuple(vals))
+        object.__setattr__(self, "coeffs", form.multivector(coeffs).coeffs)
 
     @classmethod
     def _make(cls, form: QuadraticForm, coeffs: tuple) -> "Multivector":

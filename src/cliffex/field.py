@@ -83,8 +83,6 @@ class Fp:
                     f"residues modulo {self.modulus} and {other.modulus} cannot mix"
                 )
             return other
-        if isinstance(other, bool):
-            return Fp(int(other), self.modulus)
         if isinstance(other, int):
             return Fp(other, self.modulus)
         if isinstance(other, Fraction):
@@ -179,40 +177,36 @@ _RAT_TEXT = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$")
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Name of a coefficient field: the rationals or F_p for an odd prime p.
+    """Name of a coefficient field: F_p for an odd prime ``p``, or the
+    rationals when ``p`` is None (the default).
 
     The spec object is tiny and hashable; quadratic forms and multivectors
     hold one and route all element construction through it.
     """
 
-    kind: str
     p: int | None = None
 
     def __post_init__(self):
-        if self.kind == "rational":
-            if self.p is not None:
-                raise MixedFieldSpec("a rational field takes no modulus")
-        elif self.kind == "prime":
-            if not isinstance(self.p, int) or self.p < 2:
-                raise NonPrimeModulus(f"modulus must be an integer >= 2, got {self.p!r}")
-            if self.p == 2 or self.p % 2 == 0:
-                raise EvenCharacteristic(
-                    f"characteristic 2 is unsupported (modulus {self.p})"
-                )
-            if not is_prime(self.p):
-                raise NonPrimeModulus(f"{self.p} is not prime")
-        else:
-            raise MixedFieldSpec(f"unknown field kind {self.kind!r}")
+        if self.p is None:
+            return
+        if not isinstance(self.p, int) or self.p < 2:
+            raise NonPrimeModulus(f"modulus must be an integer >= 2, got {self.p!r}")
+        if self.p % 2 == 0:
+            raise EvenCharacteristic(f"characteristic 2 is unsupported (modulus {self.p})")
+        if not is_prime(self.p):
+            raise NonPrimeModulus(f"{self.p} is not prime")
 
     # -- construction ---------------------------------------------------
 
     @staticmethod
     def rational() -> "FieldSpec":
-        return FieldSpec("rational")
+        return FieldSpec()
 
     @staticmethod
     def prime(p: int) -> "FieldSpec":
-        return FieldSpec("prime", p)
+        if p is None:  # FieldSpec(None) is the rationals
+            raise NonPrimeModulus("modulus must be an integer >= 2, got None")
+        return FieldSpec(p)
 
     @staticmethod
     def from_text(text: str) -> "FieldSpec":
@@ -228,17 +222,17 @@ class FieldSpec:
         raise ParseError(f"unknown field literal {text!r}")
 
     def to_text(self) -> str:
-        return "rational" if self.kind == "rational" else f"fp:{self.p}"
+        return "rational" if self.p is None else f"fp:{self.p}"
 
     # -- basic facts ----------------------------------------------------
 
     @property
     def characteristic(self) -> int:
-        return 0 if self.kind == "rational" else self.p  # type: ignore[return-value]
+        return self.p or 0
 
     @property
     def is_rational(self) -> bool:
-        return self.kind == "rational"
+        return self.p is None
 
     @property
     def zero(self) -> FieldElement:
@@ -260,8 +254,6 @@ class FieldSpec:
         if self.is_rational:
             if isinstance(value, Fp):
                 raise MixedFieldSpec("prime-field residue given for a rational field")
-            if isinstance(value, bool):
-                return Fraction(int(value))
             if isinstance(value, (int, Fraction)):
                 return Fraction(value)
             if isinstance(value, str):
@@ -273,8 +265,6 @@ class FieldSpec:
                     f"residue modulo {value.modulus} given for F_{self.p}"
                 )
             return value
-        if isinstance(value, bool):
-            return Fp(int(value), self.p)
         if isinstance(value, int):
             return Fp(value, self.p)
         if isinstance(value, Fraction):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .core import Multivector, QuadraticForm, join_terms, split_terms
@@ -53,7 +53,8 @@ class Quaternion:
     Four plain ints are stored as they are.  Otherwise every component goes
     through :meth:`FieldSpec.element` of the rationals, so bools,
     ``Fraction`` and rational text are accepted and anything else (a
-    float, a prime-field residue) raises :class:`MixedFieldSpec`.  The
+    float, a prime-field residue) raises :class:`MixedFieldSpec`; then
+    :meth:`FieldSpec.scaled` puts them over one denominator.  The
     value is immutable and hashable.
     """
 
@@ -63,10 +64,8 @@ class Quaternion:
         if type(a) is type(b) is type(c) is type(d) is int:
             num, den = (a, b, c, d), 1
         else:
-            comps = [RATIONAL.element(v) for v in (a, b, c, d)]
-            den = lcm(*(x.denominator for x in comps))
-            num = tuple(x.numerator * (den // x.denominator) for x in comps)
-        object.__setattr__(self, "_num", num)
+            num, den = RATIONAL.scaled([RATIONAL.element(v) for v in (a, b, c, d)])
+        object.__setattr__(self, "_num", tuple(num))
         object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
@@ -149,15 +148,7 @@ class Quaternion:
         o = other if isinstance(other, Quaternion) else self._coerce(other)
         if o is None:
             return NotImplemented
-        a1, b1, c1, d1 = self._num
-        a2, b2, c2, d2 = o._num
-        return _reduced(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-            self._den * o._den,
-        )
+        return _dot((self,), (o,))
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -334,7 +325,8 @@ class HMatrix:
 
 
 def _dot(xs: Sequence, ys: Sequence) -> Quaternion:
-    """sum_k xs[k] ys[k] for quaternions, each product in that order.
+    """sum_k xs[k] ys[k] for quaternions, each product in that order; the
+    one place Hamilton's formula is written.
 
     The Hamilton products are summed on integer numerators over one
     denominator and reduced once, at the end.
@@ -425,14 +417,7 @@ def basis_change(a: HMatrix, basis: Sequence) -> HMatrix:
 
 # -- bridge to the rank-2 algebra ----------------------------------------
 
-_BRIDGE_DIAG = (Fraction(1), Fraction(1))
-
-
-def _check_bridge_form(form: QuadraticForm):
-    if form.n != 2 or not form.field.is_rational or form.diag != _BRIDGE_DIAG:
-        raise WrongForm(
-            "the quaternion bridge needs the rank-2 rational form with unit diagonal"
-        )
+_BRIDGE_DIAG = (1, 1)
 
 
 def to_quaternion(x: Multivector) -> Quaternion:
@@ -441,12 +426,11 @@ def to_quaternion(x: Multivector) -> Quaternion:
     Sends 1, e1, e2, e12 to 1, i, j, k.  Multiplicative, and intertwines
     the composite involution with quaternion conjugation.
     """
-    _check_bridge_form(x.form)
+    if x.form != QuadraticForm(_BRIDGE_DIAG):
+        raise WrongForm("the quaternion bridge needs the rank-2 rational form with unit diagonal")
     return Quaternion(*x.coeffs)
 
-def from_quaternion(q: Quaternion, form: QuadraticForm = None) -> Multivector:
+
+def from_quaternion(q: Quaternion) -> Multivector:
     """Inverse of :func:`to_quaternion`."""
-    if form is None:
-        form = QuadraticForm(_BRIDGE_DIAG, RATIONAL)
-    _check_bridge_form(form)
-    return form.multivector(list(q.components()))
+    return QuadraticForm(_BRIDGE_DIAG).multivector(q.components())

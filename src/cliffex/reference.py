@@ -7,7 +7,8 @@ package by an independent route:
   concatenated index word, never touching the popcount parity formula.
 * ``cofactor_determinant`` expands along the first row.
 * ``product_pairing`` evaluates the canonical pairing by its definition,
-  an algebra product, instead of the Gram diagonal sum.
+  the scalar part of x * conjugate(y), from word products over the common
+  support instead of the Gram diagonal sum.
 * ``anticommuting_lie_blades`` enumerates the masks that the Killing count
   counts, instead of summing the grade formula.
 
@@ -21,7 +22,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .core import Multivector, QuadraticForm, anticommute_parity
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, MismatchedForm
 from .field import FieldElement, FieldSpec, Fp
 
 
@@ -89,8 +90,18 @@ def cofactor_determinant(rows, field: FieldSpec) -> FieldElement:
 
 
 def product_pairing(x: Multivector, y: Multivector) -> FieldElement:
-    """Canonical pairing by its definition, the scalar part of x * conjugate(y)."""
-    return (x * y.conjugate()).scalar_part()
+    """Canonical pairing by its definition, the scalar part of x * conjugate(y):
+    only e_w conjugate(e_w) = (-1)^|w| e_w e_(w reversed) has one, so the sum
+    runs over the common support of word products."""
+    if x.form != y.form:
+        raise MismatchedForm("operands live over different quadratic forms")
+    total = x.form.field.zero
+    for mask, (a, b) in enumerate(zip(x.coeffs, y.coeffs)):
+        if a and b:
+            word = mask_to_word(mask)
+            term = a * b * blade_word_product(word, word[::-1], x.form)[0]
+            total = total - term if len(word) & 1 else total + term
+    return total
 
 
 def anticommuting_lie_blades(form: QuadraticForm, mask: int) -> list:

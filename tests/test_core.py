@@ -25,7 +25,10 @@ from cliffex import (
     parse_multivector,
     reorder_sign,
 )
-from cliffex.core import conjugate_sign, involute_sign, reorder_parity, reverse_sign, sign_mask
+from cliffex import core
+from cliffex.core import (
+    Multivector, conjugate_sign, involute_sign, reorder_parity, reverse_sign, sign_mask,
+)
 from cliffex.errors import (
     DegenerateForm,
     IndexOutOfRange,
@@ -586,6 +589,32 @@ def test_kernel_against_word_oracles(field, kind):
             _check_kernel(dense, random_multivector(rng, form), rng.choice(scalars))
 
     check()
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.to_text())
+def test_product_pairing_agrees_with_pair_and_shares_no_fast_path(field, monkeypatch):
+    """The pairing oracle matches ``pair`` on dense and sparse operands,
+    over a signature and a fractional non-unit diagonal, while the product
+    kernel, the involutions, the sign masks and the square table raise."""
+    rng = random.Random(SEED + 18)
+    cases = []
+    for text in ("sig:3,3", "diag:1/2,2,-5,1/4,5,-1"):
+        form = QuadraticForm.from_text(text, field)
+        dense, sparse = random_multivector(rng, form), random_multivector(rng, form, 6)
+        for x, y in ((dense, random_multivector(rng, form)), (dense, sparse), (sparse, dense),
+                     (sparse, sparse), (sparse, random_multivector(rng, form, 6))):
+            cases.append((x, y, x.pair(y)))
+
+    def fast_path(*args, **kwargs):
+        raise AssertionError("the oracle reached a fast path")
+
+    for owner, name in ((Multivector, "__mul__"), (Multivector, "_signed"), (core, "sign_mask"),
+                        (QuadraticForm, "square_table"), (QuadraticForm, "gram_diagonal")):
+        monkeypatch.setattr(owner, name, fast_path)
+    for x, y, want in cases:
+        got = product_pairing(x, y)
+        assert got == want and field.owns(got)
+    assert any(want for _, _, want in cases)
 
 
 def _inversions(a, b):

@@ -51,6 +51,29 @@ def test_bad_moduli_are_rejected():
         FieldSpec.from_text("fp:1")
 
 
+@pytest.mark.parametrize("p, error, message", [
+    (None, NonPrimeModulus, "modulus must be an integer >= 2, got None"),
+    (1, NonPrimeModulus, "modulus must be an integer >= 2, got 1"),
+    (True, NonPrimeModulus, "modulus must be an integer >= 2, got True"),
+    (9, NonPrimeModulus, "9 is not prime"),
+    (2, EvenCharacteristic, "characteristic 2 is unsupported (modulus 2)"),
+])
+def test_prime_field_boundaries_raise_with_their_messages(p, error, message):
+    with pytest.raises(error) as info:
+        FieldSpec.prime(p)
+    assert str(info.value) == message
+
+
+def test_the_default_spec_is_the_rationals_and_bools_are_ints():
+    assert FieldSpec() == FieldSpec.rational() == RATIONAL
+    one = RATIONAL.element(True)
+    assert one == 1 and type(one) is Fraction
+    zero = FieldSpec.prime(7).element(False)
+    assert zero == Fp(0, 7) and type(zero.residue) is int
+    four = Fp(3, 7) + True
+    assert four == Fp(4, 7) and type(four.residue) is int
+
+
 def test_rational_parse_and_format():
     assert RATIONAL.parse("3/4") == Fraction(3, 4)
     assert RATIONAL.parse("-12") == Fraction(-12)

@@ -549,7 +549,8 @@ def test_bridge_round_trip():
         x = random_multivector(rng, form, terms=4)
         assert from_quaternion(to_quaternion(x)) == x
         q = rand_quaternion(rng)
-        assert to_quaternion(from_quaternion(q, form)) == q
+        assert from_quaternion(q).form == form
+        assert to_quaternion(from_quaternion(q)) == q
 
 
 def test_bridge_rejects_other_forms():
@@ -561,5 +562,5 @@ def test_bridge_rejects_other_forms():
         to_quaternion(QuadraticForm([1, 2]).one())
     with pytest.raises(WrongForm):
         to_quaternion(QuadraticForm([1, 1], FieldSpec.from_text("fp:7")).one())
-    with pytest.raises(WrongForm):
-        from_quaternion(Quaternion.one(), QuadraticForm([2, 1]))
+    # from_quaternion has no form to choose: it always lands on the bridge form.
+    assert from_quaternion(Quaternion.one()).form == QuadraticForm([1, 1])

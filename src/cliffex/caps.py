@@ -1,8 +1,9 @@
-"""Every rank cap of the engine, in one table.
+"""Every rank cap of the engine, and its one route threshold, in one table.
 
 A cap is the largest rank n at which an enumeration, exact solve or dense
 cross-check runs; above it the route raises CapExceeded or the check is
 skipped (blade pairs are sampled).  The closed forms run at every rank.
+SPLIT_PRODUCT is no cap: it picks an exact product route at every rank.
 Callers read ``caps.NAME`` when they run, so a test can substitute a value
 with ``monkeypatch``.  Raise a cap only with a measurement at the new rank.
 """
@@ -17,6 +18,9 @@ KILLING_TRACE = 8  # trace route of killing_form: cubic in the Lie dimension
 ISOMETRY_GRAM = 8  # Gram preservation in isometry_evidence: a dim^3 loop
 MULTIPLICATIVITY = 6  # equivalence_isomorphism's check on all 4^n blade pairs
 UNIQUENESS_SOLVE = 3  # pairing axioms: 2n·4^n equations in 4^n / 2 unknowns
+# F_p products of |supp x| |supp y| >= SPLIT_PRODUCT 2^n go to the split route.
+# Over F_101 it broke even at 4 pairs per blade for even n, 8 for odd n (4..10).
+SPLIT_PRODUCT = 8
 
 # Checks in checks.py that sweep dense objects.
 BLADE_PAIRS_EXHAUSTIVE = 5  # every blade pair against the word oracle; 200 sampled above

@@ -19,11 +19,17 @@ The product reads each row's signs from one mask, :func:`sign_mask`, and
 each scale from the integer :meth:`QuadraticForm.square_table`: a square
 of ±1 (:meth:`QuadraticForm.unit_squares`) only sets the sign, any other
 is multiplied in, and ``pair`` reads the Gram entries the same way.
+
+Over F_p, a product with |supp x| |supp y| >= caps.SPLIT_PRODUCT 2^n goes
+through :class:`SplitAlgebra` instead: Cl(V) as the matrix algebra
+M(2^ceil(n/2), F_p), reached by a signed, scaled permutation of masks and one
+4 x 4 map per generator pair, O(n 2^n), around one dense matrix product.
 """
 from __future__ import annotations
 
 import re
 from math import prod
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import caps
@@ -34,7 +40,7 @@ from .errors import (
     MismatchedForm,
     ParseError,
 )
-from .field import NUMBERS, RATIONAL, FieldElement, FieldSpec
+from .field import NUMBERS, RATIONAL, FieldElement, FieldSpec, sqrt_mod
 
 
 def reorder_parity(a: int, b: int) -> int:
@@ -117,7 +123,7 @@ class QuadraticForm:
     the per-form integer table of the products of -q_i over index subsets.
     """
 
-    __slots__ = ("n", "diag", "field", "_sqf_cache", "_gram", "_squares")
+    __slots__ = ("n", "diag", "field", "_sqf_cache", "_gram", "_squares", "_split")
 
     def __init__(self, diag: Sequence, field: Optional[FieldSpec] = None):
         if field is None:
@@ -136,6 +142,7 @@ class QuadraticForm:
         self._sqf_cache: dict = {}
         self._gram: Optional[tuple] = None
         self._squares: Optional[tuple] = None
+        self._split: Optional[SplitAlgebra] = None
 
     # -- construction ----------------------------------------------------
 
@@ -414,13 +421,15 @@ class Multivector:
         if isinstance(other, Multivector):
             self._check_mate(other)
             form = self.form
+            left = [(m, c) for m, c in enumerate(self.coeffs) if c]
+            right = [(m, c) for m, c in enumerate(other.coeffs) if c]
+            if form.field.p and len(left) * len(right) >= caps.SPLIT_PRODUCT << form.n:
+                form._split = form._split or SplitAlgebra(form)
+                return Multivector._make(form, form._split.product(self.coeffs, other.coeffs))
             d, minus, squares = form.unit_squares()
             sqf = form.square_factor
             out = [form.field.zero] * form.dim
-            right = [(m, c) for m, c in enumerate(other.coeffs) if c]
-            for mi, ci in enumerate(self.coeffs):
-                if not ci:
-                    continue
+            for mi, ci in left:
                 w = sign_mask(mi)
                 for mj, cj in right:
                     s = squares[mi & mj]
@@ -532,6 +541,88 @@ class Multivector:
 
     def __str__(self):
         return self.to_text()
+
+
+def _matmul(x, y, p: int) -> list:
+    """The matrix product x y mod p, rows of ints."""
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) % p for col in cols] for row in x]
+
+
+def _transform(y: list, maps, p: int) -> list:
+    """Each 4 x 4 map in turn on the lowest base-4 digit, which then moves to the top."""
+    for rows in maps:
+        cols = [y[d::4] for d in range(4)]
+        y = []
+        for f0, f1, f2, f3 in rows:
+            y += [(f0 * s + f1 * t + f2 * u + f3 * v) % p for s, t, u, v in zip(*cols)]
+    return y
+
+
+def _split_pair(a: int, b: int, p: int) -> tuple:
+    """2 x 2 matrices g, h over F_p with g^2 = a, h^2 = b and gh = -hg: given
+    a x^2 + b y^2 = 1, from u = xG + yH = diag(1, -1) and GH = [[0, -ab], [1, 0]].
+    A root r of a gives x = 1/r and y = 0; else x runs up from 0, so y = 1/√b
+    when b is a square, until (1 - a x^2) / b is one."""
+    r = sqrt_mod(a, p)
+    x = pow(r, -1, p) if r else 0
+    while (y := sqrt_mod((1 - a * x * x) * pow(b, -1, p), p)) is None:
+        x += 1
+    g = ((x * a % p, y * a * b % p), (y, -x * a % p))
+    return g, ((y * b % p, -x * a * b % p), (-x % p, -y * b % p))
+
+
+class SplitAlgebra:
+    """Cl(V) over F_p as the matrix algebra M(D, F_p), D = 2^m, m = ceil(n/2).
+
+    G_k = e_1...e_2k e_(2k+1) and H_k = e_1...e_2k e_(2k+2), k < m, with an
+    e_(n+1) of square 1 for odd n, anticommute, square to scalars a_k, b_k and
+    commute with the other pairs: Cl is the tensor product of the split
+    quaternion algebras ``factors[k] = (a_k, b_k, g_k, h_k)``.  Bits 2k, 2k+1
+    of a word w are its powers of G_k, H_k, and w is c_w e_(mask_w).
+    """
+
+    def __init__(self, form: QuadraticForm):
+        p, self.field, self.m = form.field.p, form.field, (form.n + 1) // 2
+        squares = form.square_table()[1] * (1 + form.n % 2)
+        gens = [(1 << (i & -2)) - 1 | 1 << i for i in range(2 * self.m)]
+        masks, coefs = [0], [1]
+        for gen in gens:
+            coefs += [(-c if reorder_parity(m, gen) else c) * squares[m & gen] % p
+                      for m, c in zip(masks, coefs)]
+            masks += [m ^ gen for m in masks]
+        # Per mask of Cl(V): its word w, c_w and 1 / c_w.
+        self.words = sorted(range(len(masks)), key=masks.__getitem__)[:form.dim]
+        self.coefs = [coefs[w] for w in self.words]
+        self.inverses = [pow(c, -1, p) for c in self.coefs]
+        ab = [-squares[g] % p if reorder_parity(g, g) else squares[g] for g in gens]
+        self.factors = [(a, b, *_split_pair(a, b, p)) for a, b in zip(ab[::2], ab[1::2])]
+        # Per pair: coordinates on 1, G, H, GH to 2 x 2 cells, back by tr(X B^-1) / 2.
+        self.forward, self.back, half = [], [], pow(2, -1, p)
+        for _, _, g, h in self.factors:
+            basis = (((1, 0), (0, 1)), g, h, _matmul(g, h, p))
+            self.forward.append([[B[i][j] for B in basis] for i in (0, 1) for j in (0, 1)])
+            self.back.append([[x * half * pow(s * v - t * u, -1, p) % p for x in (v, -u, -t, s)]
+                              for (s, t), (u, v) in basis])
+        # Cell (R, C) of a matrix: digit k of its index is 2 R_k + C_k.
+        spread = [int(f"{r:b}", 4) for r in range(1 << self.m)]
+        self.cells = [2 * r | c for r in spread for c in spread]
+        self.uncells = sorted(range(len(masks)), key=self.cells.__getitem__)
+
+    def _matrix(self, coeffs) -> list:
+        p, D = self.field.p, 1 << self.m
+        y = [0] * (D * D)
+        for w, c, r in zip(self.words, self.inverses, self.field.scaled(coeffs)[0]):
+            y[w] = r * c % p
+        y = _transform(y, self.forward, p)
+        return [[y[i] for i in self.cells[k:k + D]] for k in range(0, D * D, D)]
+
+    def product(self, xs, ys) -> tuple:
+        """The coefficients of x y from those of x and y."""
+        p = self.field.p
+        z = [v for row in _matmul(self._matrix(xs), self._matrix(ys), p) for v in row]
+        y = _transform([z[i] for i in self.uncells], self.back, p)
+        return tuple(self.field.quotients([y[w] * c % p for w, c in zip(self.words, self.coefs)], 1))
 
 
 def blade_product(form: QuadraticForm, a: int, b: int) -> BladeProduct:

@@ -61,6 +61,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def sqrt_mod(a: int, p: int):
+    """A square root of ``a`` modulo the odd prime ``p`` by Tonelli-Shanks,
+    or None when ``a`` is not a square mod p."""
+    if pow(a, (p - 1) // 2, p) != 1:
+        return 0 if a % p == 0 else None
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s with q odd
+    q, z = (p - 1) >> s, next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 class Fp:
     """A residue class modulo an odd prime, stored canonically in [0, p).
 
@@ -147,7 +162,7 @@ class Fp:
     def __eq__(self, other):
         if isinstance(other, Fp):
             return self.modulus == other.modulus and self.residue == other.residue
-        if isinstance(other, int) and not isinstance(other, bool):
+        if isinstance(other, int):
             return self.residue == other % self.modulus
         return NotImplemented
 

@@ -1,6 +1,6 @@
 """Median times of the multivector kernel, as a check on the roadmap's
-dense-product targets (at n = 8, at most 5 ms over F_101 and 20 ms over
-Q).
+dense-product targets: at n = 8, at most 5 ms over F_101 and 20 ms over Q;
+at n = 16, at most 10 s over F_101, set-up included.
 
 Run by hand with the package importable, like ``python tests/test_size.py``:
 
@@ -9,14 +9,20 @@ Run by hand with the package importable, like ``python tests/test_size.py``:
 Each row is the median of R timed calls (default 5) on seeded dense
 operands: products at n = 6, 7 and 8 on a signature form and on a
 fractional diagonal over Q, and on the signature form over F_101; then
-``pair``, ``involute`` and ``+`` at n = 8.  pytest does not collect this
-file.
+``pair``, ``involute`` and ``+`` at n = 8; then products over F_101 at
+n = 10 and 16 on the signature form, each with the time to build the
+form's split representation printed and added to the total.  Every F_101
+product row runs on the split matrix route (``core.SplitAlgebra``), and
+every Q row on the tuple kernel: the Q targets wait for the route's Q half.
+Times include the boxing of coefficients as ``Fp`` and ``Fraction``.
+pytest does not collect this file.
 """
 import argparse
 import timeit
 from random import Random
 from statistics import median
 
+from cliffex import core
 from cliffex.core import QuadraticForm
 from cliffex.field import FieldSpec
 from cliffex.reference import random_multivector
@@ -47,16 +53,29 @@ def cases():
         yield f"sum      n=8 {tag} {signature(8)}", form, lambda x, y: x + y
 
 
+def operands(form):
+    rng = Random(20170)
+    return random_multivector(rng, form), random_multivector(rng, form)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
     for label, form, op in cases():
-        rng = Random(20170)
-        x, y = random_multivector(rng, form), random_multivector(rng, form)
+        x, y = operands(form)
         number = 1 if label.startswith("product") else 20
         runs = timeit.repeat(lambda: op(x, y), number=number, repeat=args.repeat)
         print(f"{label:<48} {median(runs) / number * 1e3:10.3f} ms")
+    for n in (10, 16):
+        form = QuadraticForm.from_text(signature(n), F101)
+        x, y = operands(form)
+        setup = timeit.timeit(lambda: core.SplitAlgebra(form), number=1)
+        x * y  # builds the form's own split representation
+        product = median(timeit.repeat(lambda: x * y, number=1, repeat=args.repeat))
+        label = f"product  n={n} F101 {signature(n)}"
+        print(f"{label:<48} {(setup + product) * 1e3:10.3f} ms"
+              f"  (set-up {setup * 1e3:.3f} ms + product {product * 1e3:.3f} ms)")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from cliffex import (
     parse_multivector,
     reorder_sign,
 )
-from cliffex import core
+from cliffex import caps, core
 from cliffex.core import (
     Multivector, conjugate_sign, involute_sign, reorder_parity, reverse_sign, sign_mask,
 )
@@ -609,7 +609,8 @@ def test_product_pairing_agrees_with_pair_and_shares_no_fast_path(field, monkeyp
         raise AssertionError("the oracle reached a fast path")
 
     for owner, name in ((Multivector, "__mul__"), (Multivector, "_signed"), (core, "sign_mask"),
-                        (QuadraticForm, "square_table"), (QuadraticForm, "gram_diagonal")):
+                        (QuadraticForm, "square_table"), (QuadraticForm, "gram_diagonal"),
+                        (core.SplitAlgebra, "product")):
         monkeypatch.setattr(owner, name, fast_path)
     for x, y, want in cases:
         got = product_pairing(x, y)
@@ -652,3 +653,122 @@ def test_zero_rule(field):
             assert hash(x + zero) == hash(x) == hash(zero + x)
             for got in (x - x, x * field.zero, x + zero, -x, x * zero, x.reverse()):
                 assert all(field.owns(c) for c in got.coeffs)
+
+
+# -- the split route ---------------------------------------------------------
+#
+# Dense products over F_p go through Cl(V) = M(2^ceil(n/2), F_p).  The route
+# is checked against word products, computed with both the route and the
+# tuple kernel patched to raise.
+
+SPLIT_FIELDS = tuple(FieldSpec.prime(p) for p in (3, 7, 101, 65537, 2**31 - 1))
+
+
+def _fast_path(*args, **kwargs):
+    raise AssertionError("the oracle reached a fast path")
+
+
+def _oracle_coeff(x, y, k):
+    """Coefficient k of x y: x_a y_(a xor k) times the word product of a and
+    a xor k, summed over a."""
+    total = x.form.field.zero
+    for a, ca in x.terms():
+        if cb := y.coeffs[a ^ k]:
+            coef, mask = blade_word_product(mask_to_word(a), mask_to_word(a ^ k), x.form)
+            assert mask == k
+            total = total + ca * cb * coef
+    return total
+
+
+def _check_against_oracle(cases, monkeypatch, masks=None):
+    """Each (x, y, products): every product equals x y by word products, on
+    the coefficients ``masks`` (all when None), with the fast paths raising."""
+    with monkeypatch.context() as m:
+        m.setattr(Multivector, "__mul__", _fast_path)
+        m.setattr(core.SplitAlgebra, "product", _fast_path)
+        for x, y, products in cases:
+            for k in range(x.form.dim) if masks is None else masks:
+                want = _oracle_coeff(x, y, k)
+                assert all(z.coeffs[k] == want and z.form.field.owns(z.coeffs[k]) for z in products)
+
+
+@pytest.mark.parametrize("field", SPLIT_FIELDS, ids=lambda f: f.to_text())
+def test_split_route_against_word_oracle(field, monkeypatch):
+    """At every rank 1-10 on the drawn diagonal's leading entries: dense,
+    sparse and zero operands, multiplied at the default threshold (dense
+    times dense routed from rank 3, the rest on the kernel) and with every
+    product routed.  Every coefficient is checked up to rank 6, three
+    sampled ones above."""
+    @settings(deadline=None, derandomize=True, max_examples=3, database=None)
+    @given(diag=st.lists(st.integers(-9, 9).filter(lambda v: v % field.p), min_size=10, max_size=10),
+           seed=st.integers(0, 2**32))
+    def check(diag, seed):
+        rng = random.Random(seed)
+        for n in range(1, 11):
+            form = QuadraticForm(diag[:n], field)
+            dense, sparse = random_multivector(rng, form), random_multivector(rng, form, 3)
+            cases = []
+            for x, y in ((dense, random_multivector(rng, form)), (dense, sparse), (sparse, dense),
+                         (sparse, sparse), (form.zero(), dense), (dense, form.zero())):
+                with monkeypatch.context() as m:
+                    m.setattr(caps, "SPLIT_PRODUCT", 0)
+                    routed = x * y
+                cases.append((x, y, (x * y, routed)))
+            _check_against_oracle(cases, monkeypatch, None if n <= 6 else rng.sample(range(form.dim), 3))
+
+    check()
+
+
+def test_split_route_at_rank_12_on_a_sampled_coefficient(monkeypatch):
+    """A routed dense product at rank 12, one coefficient summed over its
+    4096 word products."""
+    form = QuadraticForm.from_text("diag:1,-1,2,-3,5,1,-1,7,3,-2,1,-5", FieldSpec.prime(101))
+    rng = random.Random(SEED + 19)
+    x, y = random_multivector(rng, form), random_multivector(rng, form)
+    _check_against_oracle([(x, y, (x * y,))], monkeypatch, [rng.randrange(form.dim)])
+
+
+# Over F_3 the only nonzero square is 1: a is a square, b is, or neither.
+@pytest.mark.parametrize("text, squares", [("diag:-1,1", (1, 2)), ("diag:1,-1", (2, 1)),
+                                           ("diag:1,1", (2, 2))])
+def test_each_split_branch_gives_a_quaternion_basis(text, squares, monkeypatch):
+    """The 2 x 2 images g, h of G = e_1 and H = e_2 satisfy g^2 = a,
+    h^2 = b and gh = -hg, with a and b the word-product squares, and the
+    route multiplies correctly."""
+    form = QuadraticForm.from_text(text, FieldSpec.prime(3))
+    split = core.SplitAlgebra(form)
+    [(a, b, g, h)] = split.factors
+    assert (a, b) == squares == tuple(blade_word_product((i, i), (), form)[0].residue for i in (1, 2))
+
+    def times(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in (0, 1)) % 3 for j in (0, 1)] for i in (0, 1)]
+
+    assert times(g, g) == [[a, 0], [0, a]] and times(h, h) == [[b, 0], [0, b]]
+    assert times(g, h) == [[-v % 3 for v in row] for row in times(h, g)] != [[0, 0], [0, 0]]
+    rng = random.Random(SEED + 20)
+    cases = []
+    for _ in range(4):
+        x, y = random_multivector(rng, form), random_multivector(rng, form)
+        cases.append((x, y, (Multivector._make(form, split.product(x.coeffs, y.coeffs)),)))
+    _check_against_oracle(cases, monkeypatch)
+
+
+def test_the_threshold_routes_only_large_prime_field_products(monkeypatch):
+    """Dense times dense over F_p from rank 3 is routed, at exactly
+    SPLIT_PRODUCT 2^n support pairs; fewer pairs and every product over Q
+    stay on the kernel."""
+    routed = []
+    original = core.SplitAlgebra.product
+    monkeypatch.setattr(core.SplitAlgebra, "product",
+                        lambda self, xs, ys: routed.append(1) or original(self, xs, ys))
+    rng = random.Random(SEED + 21)
+    for field in (RATIONAL, FieldSpec.prime(101)):
+        form = QuadraticForm.from_text("sig:2,1", field)
+        full = form.multivector([1] * 8)
+        for terms, want in ((8, 1), (7, 0), (4, 0)):
+            before = len(routed)
+            full * random_multivector(rng, form, terms)
+            assert len(routed) - before == (want if field.p else 0), (field, terms)
+        form = QuadraticForm.from_text("sig:4,4", field)
+        random_multivector(rng, form) * random_multivector(rng, form, 4)
+    assert len(routed) == 1

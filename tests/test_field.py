@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffex import RATIONAL, Fp, FieldSpec
+from cliffex import RATIONAL, Fp, FieldSpec, QuadraticForm
 from cliffex.errors import (
     EvenCharacteristic,
     InversionOfZero,
@@ -14,7 +14,7 @@ from cliffex.errors import (
     ParseError,
     UnorderedField,
 )
-from cliffex.field import is_prime
+from cliffex.field import is_prime, sqrt_mod
 
 SEED = 1009
 TRIALS = 200
@@ -72,6 +72,28 @@ def test_the_default_spec_is_the_rationals_and_bools_are_ints():
     assert zero == Fp(0, 7) and type(zero.residue) is int
     four = Fp(3, 7) + True
     assert four == Fp(4, 7) and type(four.residue) is int
+
+
+@pytest.mark.parametrize("field", [RATIONAL, FieldSpec.prime(7)], ids=lambda f: f.to_text())
+def test_a_bool_compares_as_its_int_over_both_fields(field):
+    one, zero = field.one, field.zero
+    assert (one == True, zero == False, True == one, one == False, zero == True) == (
+        True, True, True, False, False)
+    assert QuadraticForm([1, 1], field).one() == True
+    assert QuadraticForm([1, 1], field).zero() == False
+
+
+@pytest.mark.parametrize("p", [3, 7, 101, 65537, 2**31 - 1])
+def test_square_roots_mod_p(p):
+    """Each square has a root and each non-square none; p = 65537, with
+    p - 1 = 2^16, runs every step of Tonelli-Shanks."""
+    rng = random.Random(SEED + p)
+    for a in [0, 1, p - 1, 2, 3] + [rng.randrange(p) for _ in range(TRIALS)]:
+        root = sqrt_mod(a, p)
+        if pow(a, (p - 1) // 2, p) == p - 1:
+            assert root is None
+        else:
+            assert root is not None and root * root % p == a % p
 
 
 def test_rational_parse_and_format():

@@ -371,8 +371,8 @@ def check_invertibility(form: QuadraticForm, rng: Random) -> str:
     """Determinant tests versus actually producing a two-sided inverse.
 
     The pair of translation determinants, both read from one elimination
-    of the integer left translation, is checked against the determinant of
-    the right translation matrix taken through the field-element route.
+    (c L_x over Q, phi(x) over F_p), is checked against the determinant
+    of the right translation matrix taken through the field-element route.
     """
     inverted = 0
     for _ in range(_sample_size(form, 6)):

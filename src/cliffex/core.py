@@ -243,6 +243,11 @@ class QuadraticForm:
             self._squares = (d, tuple(squares))
         return self._squares
 
+    def split(self) -> "SplitAlgebra":
+        """Cl(V) over F_p as a matrix algebra, built on first use and kept."""
+        self._split = self._split or SplitAlgebra(self)
+        return self._split
+
     def unit_squares(self) -> tuple:
         """``(d, minus, squares)`` from :meth:`square_table`: e_m squares to
         +1 when squares[m] == d and to -1 when squares[m] == minus (-d over
@@ -424,8 +429,7 @@ class Multivector:
             left = [(m, c) for m, c in enumerate(self.coeffs) if c]
             right = [(m, c) for m, c in enumerate(other.coeffs) if c]
             if form.field.p and len(left) * len(right) >= caps.SPLIT_PRODUCT << form.n:
-                form._split = form._split or SplitAlgebra(form)
-                return Multivector._make(form, form._split.product(self.coeffs, other.coeffs))
+                return Multivector._make(form, form.split().product(self.coeffs, other.coeffs))
             d, minus, squares = form.unit_squares()
             sqf = form.square_factor
             out = [form.field.zero] * form.dim
@@ -580,6 +584,8 @@ class SplitAlgebra:
     commute with the other pairs: Cl is the tensor product of the split
     quaternion algebras ``factors[k] = (a_k, b_k, g_k, h_k)``.  Bits 2k, 2k+1
     of a word w are its powers of G_k, H_k, and w is c_w e_(mask_w).
+    :meth:`matrix` is the algebra embedding phi: Cl(V) -> M(D, F_p), and
+    :meth:`coefficients` maps phi(x) back to x.
     """
 
     def __init__(self, form: QuadraticForm):
@@ -607,9 +613,9 @@ class SplitAlgebra:
         # Cell (R, C) of a matrix: digit k of its index is 2 R_k + C_k.
         spread = [int(f"{r:b}", 4) for r in range(1 << self.m)]
         self.cells = [2 * r | c for r in spread for c in spread]
-        self.uncells = sorted(range(len(masks)), key=self.cells.__getitem__)
 
-    def _matrix(self, coeffs) -> list:
+    def matrix(self, coeffs) -> list:
+        """phi(x) as D rows of residues, from the coefficients of x."""
         p, D = self.field.p, 1 << self.m
         y = [0] * (D * D)
         for w, c, r in zip(self.words, self.inverses, self.field.scaled(coeffs)[0]):
@@ -617,12 +623,18 @@ class SplitAlgebra:
         y = _transform(y, self.forward, p)
         return [[y[i] for i in self.cells[k:k + D]] for k in range(0, D * D, D)]
 
+    def coefficients(self, rows, den: int = 1) -> tuple:
+        """The coefficients of x, as field elements, from den phi(x) as rows of residues."""
+        p, y = self.field.p, [0] * len(self.cells)
+        for i, v in zip(self.cells, (v for row in rows for v in row)):
+            y[i] = v
+        y = _transform(y, self.back, p)
+        nums = [y[w] * c % p for w, c in zip(self.words, self.coefs)]
+        return tuple(self.field.quotients(nums, den))
+
     def product(self, xs, ys) -> tuple:
         """The coefficients of x y from those of x and y."""
-        p = self.field.p
-        z = [v for row in _matmul(self._matrix(xs), self._matrix(ys), p) for v in row]
-        y = _transform([z[i] for i in self.uncells], self.back, p)
-        return tuple(self.field.quotients([y[w] * c % p for w, c in zip(self.words, self.coefs)], 1))
+        return self.coefficients(_matmul(self.matrix(xs), self.matrix(ys), self.field.p))
 
 
 def blade_product(form: QuadraticForm, a: int, b: int) -> BladeProduct:

@@ -79,16 +79,29 @@ def right_matrix(a: Multivector) -> list:
     return _field_matrix(a, False)
 
 
+def _split_eliminate(a: Multivector, invert: bool) -> tuple:
+    """det phi(a) over F_p, and with ``invert`` the coefficients of a^-1 from
+    [phi(a) | I] (None when det is 0): one D x D elimination."""
+    split = a.form.split()
+    rows = split.matrix(a.coeffs)
+    if invert:
+        rows = [row + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
+    det, ys = linalg._eliminate(rows, len(rows), a.form.field.p)
+    return det, (split.coefficients(ys, det) if invert and det else None)
+
+
 def translation_determinants(a: Multivector) -> tuple:
     """Exact determinants (left, right) of the two translations by ``a``.
 
-    They are equal (R_a = G^-1 L_a^T G, see the README's design notes), so
-    one elimination of c L_a gives both, as det(c L_a) / c^dim.
+    They are equal (R_a = G^-1 L_a^T G), so one elimination gives both: over
+    Q det(c L_a) / c^dim, over F_p det phi(a)^(2^n / D) (the README derives both).
     """
-    rows, scale = _translation_matrix(a, True)
-    dim = a.form.dim
-    det = linalg._eliminate(rows, dim, a.form.field.p)[0]
-    value = a.form.field.quotients((det,), scale**dim)[0]
+    f = a.form.field
+    if f.p:
+        value = f.quotients((pow(_split_eliminate(a, False)[0], 1 << (a.form.n // 2), f.p),), 1)[0]
+    else:
+        rows, scale = _translation_matrix(a, True)
+        value = f.quotients((linalg._eliminate(rows, a.form.dim, None)[0],), scale**a.form.dim)[0]
     return value, value
 
 
@@ -100,8 +113,7 @@ def is_zero_divisor(a: Multivector) -> bool:
     """
     if a.is_zero():
         raise ZeroElement("zero-divisor test needs a nonzero element")
-    rows, _ = _translation_matrix(a, True)
-    return not linalg._eliminate(rows, a.form.dim, a.form.field.p)[0]
+    return not translation_determinants(a)[0]
 
 
 def is_invertible(a: Multivector) -> bool:
@@ -113,18 +125,22 @@ def is_invertible(a: Multivector) -> bool:
 def inverse(a: Multivector) -> Multivector:
     """Two-sided inverse of ``a``; raises :class:`NotInvertible` otherwise.
 
-    Solves c L_a y = c e_0 on the integer rows of c L_a.
+    Over Q solves c L_a y = c e_0 on the integer rows of c L_a; over F_p
+    inverts phi(a).
     """
     if a.is_zero():
         raise ZeroElement("the zero element has no inverse")
     form = a.form
-    rows, scale = _translation_matrix(a, True)
-    for i, row in enumerate(rows):
-        row.append(0 if i else scale)
-    det, ys = linalg._eliminate(rows, form.dim, form.field.p)
-    if ys is None:
+    if form.field.p:
+        coeffs = _split_eliminate(a, True)[1]
+    else:
+        rows, scale = _translation_matrix(a, True)
+        rows = [row + [0 if i else scale] for i, row in enumerate(rows)]
+        det, ys = linalg._eliminate(rows, form.dim, None)
+        coeffs = ys and form.field.quotients([row[0] for row in ys], det)
+    if coeffs is None:
         raise NotInvertible("zero divisor")
-    inv = form.multivector(form.field.quotients([row[0] for row in ys], det))
+    inv = form.multivector(coeffs)
     if a * inv != form.one() or inv * a != form.one():
         raise InternalInconsistency("one-sided inverse failed the two-sided check")
     return inv

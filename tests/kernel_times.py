@@ -1,6 +1,7 @@
 """Median times of the multivector kernel, as a check on the roadmap's
 dense-product targets: at n = 8, at most 5 ms over F_101 and 20 ms over Q;
-at n = 16, at most 10 s over F_101, set-up included.
+at n = 16, at most 10 s over F_101, set-up included, for a product and for
+an inverse.
 
 Run by hand with the package importable, like ``python tests/test_size.py``:
 
@@ -9,11 +10,13 @@ Run by hand with the package importable, like ``python tests/test_size.py``:
 Each row is the median of R timed calls (default 5) on seeded dense
 operands: products at n = 6, 7 and 8 on a signature form and on a
 fractional diagonal over Q, and on the signature form over F_101; then
-``pair``, ``involute`` and ``+`` at n = 8; then products over F_101 at
-n = 10 and 16 on the signature form, each with the time to build the
-form's split representation printed and added to the total.  Every F_101
-product row runs on the split matrix route (``core.SplitAlgebra``), and
-every Q row on the tuple kernel: the Q targets wait for the route's Q half.
+``pair``, ``involute`` and ``+`` at n = 8; then, over F_101 on the
+signature form, products at n = 10 and 16, and ``inverse`` (its two-sided
+check included), ``is_zero_divisor`` and ``translation_determinants`` of
+a dense unit at n = 8, 10 and 16, each with the time to build the form's
+split representation printed and added to the total.  Every F_101 row
+runs on the split matrix route (``core.SplitAlgebra``), and every Q row on
+the tuple kernel: the Q targets wait for the route's Q half.
 Times include the boxing of coefficients as ``Fp`` and ``Fraction``.
 pytest does not collect this file.
 """
@@ -22,7 +25,7 @@ import timeit
 from random import Random
 from statistics import median
 
-from cliffex import core
+from cliffex import core, operators
 from cliffex.core import QuadraticForm
 from cliffex.field import FieldSpec
 from cliffex.reference import random_multivector
@@ -53,6 +56,15 @@ def cases():
         yield f"sum      n=8 {tag} {signature(8)}", form, lambda x, y: x + y
 
 
+def routed_cases():
+    """(name, n, operation on two dense operands) of the rows with a set-up."""
+    for n in (10, 16):
+        yield "product", n, lambda x, y: x * y
+    for n in (8, 10, 16):
+        for name in ("inverse", "is_zero_divisor", "translation_determinants"):
+            yield name, n, lambda x, y, f=getattr(operators, name): f(x)
+
+
 def operands(form):
     rng = Random(20170)
     return random_multivector(rng, form), random_multivector(rng, form)
@@ -67,15 +79,15 @@ def main():
         number = 1 if label.startswith("product") else 20
         runs = timeit.repeat(lambda: op(x, y), number=number, repeat=args.repeat)
         print(f"{label:<48} {median(runs) / number * 1e3:10.3f} ms")
-    for n in (10, 16):
+    for name, n, op in routed_cases():
         form = QuadraticForm.from_text(signature(n), F101)
         x, y = operands(form)
         setup = timeit.timeit(lambda: core.SplitAlgebra(form), number=1)
-        x * y  # builds the form's own split representation
-        product = median(timeit.repeat(lambda: x * y, number=1, repeat=args.repeat))
-        label = f"product  n={n} F101 {signature(n)}"
-        print(f"{label:<48} {(setup + product) * 1e3:10.3f} ms"
-              f"  (set-up {setup * 1e3:.3f} ms + product {product * 1e3:.3f} ms)")
+        form.split()  # builds the form's own split representation
+        run = median(timeit.repeat(lambda: op(x, y), number=1, repeat=args.repeat))
+        label = f"{name:<8} n={n} F101 {signature(n)}"
+        print(f"{label:<48} {(setup + run) * 1e3:10.3f} ms"
+              f"  (set-up {setup * 1e3:.3f} ms + {name} {run * 1e3:.3f} ms)")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ ranks 1-6 plus forms with rational diagonals, ``check`` also at ranks 7 and
 8 (ranks 5-8 reach every sampling tier of ``checks.py``) and with
 ``--seed 5`` at ranks 5 and 7, and ``center --method solve`` at ranks 7-10
 over the same three fields, and of the element commands ``invert`` and
-``info`` over Q and F_7 at ranks 1-6, on sparse units, a sparse zero divisor
-and a dense element (at rank 1 the blades past e1 are refused), and of
+``info`` over Q and F_7 at ranks 1-6 and over F_101 at ranks 7 and 8, on
+sparse units, a sparse zero divisor and a dense element (at rank 1 the
+blades past e1 are refused), and of
 ``product``, ``involute`` (each kind), ``isometry`` (a rotor and a non-unit)
 and ``lie`` with a member and a non-member over Q and F_7 at ranks 1-6.  A
 change that is meant to keep the CLI byte-identical must leave every digest
@@ -99,6 +100,10 @@ def invocations() -> list:
         for n in range(1, 7):
             base = ["--form", f"sig:{n - n // 3},{n // 3}", "--field", field]
             out += [[cmd, *base, x] for x in _elements(n) for cmd in ("invert", "info")]
+    # The element commands over a large prime field at ranks 7 and 8.
+    for n in (7, 8):
+        base = ["--form", f"sig:{n - n // 3},{n // 3}", "--field", "fp:101"]
+        out += [[cmd, *base, x] for x in _elements(n) for cmd in ("invert", "info")]
     for field in ("rational", "fp:7"):
         for n in range(1, 7):
             base = ["--form", f"sig:{n - n // 3},{n // 3}", "--field", field]

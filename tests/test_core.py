@@ -25,7 +25,7 @@ from cliffex import (
     parse_multivector,
     reorder_sign,
 )
-from cliffex import caps, core
+from cliffex import caps, core, inverse, is_zero_divisor, linalg, operators, translation_determinants
 from cliffex.core import (
     Multivector, conjugate_sign, involute_sign, reorder_parity, reverse_sign, sign_mask,
 )
@@ -34,6 +34,7 @@ from cliffex.errors import (
     IndexOutOfRange,
     MismatchedForm,
     MixedFieldSpec,
+    NotInvertible,
     ParseError,
 )
 from cliffex.field import Fp
@@ -42,6 +43,7 @@ from cliffex.reference import (
     mask_to_word,
     product_pairing,
     random_multivector,
+    random_nonzero_element,
     random_vector,
 )
 
@@ -610,7 +612,7 @@ def test_product_pairing_agrees_with_pair_and_shares_no_fast_path(field, monkeyp
 
     for owner, name in ((Multivector, "__mul__"), (Multivector, "_signed"), (core, "sign_mask"),
                         (QuadraticForm, "square_table"), (QuadraticForm, "gram_diagonal"),
-                        (core.SplitAlgebra, "product")):
+                        *SPLIT_PATHS):
         monkeypatch.setattr(owner, name, fast_path)
     for x, y, want in cases:
         got = product_pairing(x, y)
@@ -657,11 +659,14 @@ def test_zero_rule(field):
 
 # -- the split route ---------------------------------------------------------
 #
-# Dense products over F_p go through Cl(V) = M(2^ceil(n/2), F_p).  The route
-# is checked against word products, computed with both the route and the
-# tuple kernel patched to raise.
+# Dense products, inverses and zero-divisor tests over F_p go through
+# Cl(V) = M(2^ceil(n/2), F_p).  The route is checked against word products,
+# computed with both the route and the tuple kernel patched to raise.
 
 SPLIT_FIELDS = tuple(FieldSpec.prime(p) for p in (3, 7, 101, 65537, 2**31 - 1))
+# Every entry point of the route.
+SPLIT_PATHS = ((QuadraticForm, "split"), (core.SplitAlgebra, "matrix"),
+               (core.SplitAlgebra, "coefficients"), (core.SplitAlgebra, "product"))
 
 
 def _fast_path(*args, **kwargs):
@@ -684,8 +689,8 @@ def _check_against_oracle(cases, monkeypatch, masks=None):
     """Each (x, y, products): every product equals x y by word products, on
     the coefficients ``masks`` (all when None), with the fast paths raising."""
     with monkeypatch.context() as m:
-        m.setattr(Multivector, "__mul__", _fast_path)
-        m.setattr(core.SplitAlgebra, "product", _fast_path)
+        for owner, name in ((Multivector, "__mul__"), *SPLIT_PATHS):
+            m.setattr(owner, name, _fast_path)
         for x, y, products in cases:
             for k in range(x.form.dim) if masks is None else masks:
                 want = _oracle_coeff(x, y, k)
@@ -772,3 +777,129 @@ def test_the_threshold_routes_only_large_prime_field_products(monkeypatch):
         form = QuadraticForm.from_text("sig:4,4", field)
         random_multivector(rng, form) * random_multivector(rng, form, 4)
     assert len(routed) == 1
+
+
+# Inverses, zero-divisor tests and determinants over F_p read phi(x):
+# det L_x = det R_x = det phi(x)^(2^n / D), x^-1 from phi(x)^-1.
+
+
+def _unit(rng, form, masks):
+    """x = prod (a + b e_B) over ``masks`` and its inverse, the product of
+    the (a - b e_B) / (a^2 - b^2 e_B^2) in reverse, with e_B^2 from words.
+    Each factor has two terms, so no product here reaches the route.  A
+    mask is passed over when no draw gives a^2 != b^2 e_B^2: over F_3 that
+    is every blade of square 1."""
+    f = form.field
+    x = xinv = form.one()
+    for mask in masks:
+        square = blade_word_product(mask_to_word(mask), mask_to_word(mask), form)[0]
+        for _ in range(16):
+            a, b = random_nonzero_element(rng, f), random_nonzero_element(rng, f)
+            if norm := a * a - b * b * square:
+                break
+        else:
+            continue
+        x = x * form.multivector({0: a, mask: b})
+        xinv = form.multivector({0: a / norm, mask: -b / norm}) * xinv
+    return x, xinv
+
+
+def _zero_divisor(rng, form, u):
+    """(1 + u) r for u^2 = 1 and a dense r: (1 - u) kills it."""
+    assert u * u == form.one()
+    while not (z := (form.one() + u) * random_multivector(rng, form)):
+        pass
+    assert not ((form.one() - u) * z)
+    return z
+
+
+def _check_route(form, units, zero_divisors, monkeypatch, masks=None):
+    """Each (x, known inverse or None) of ``units`` has that inverse, two-sided
+    by word products on ``masks``, and is no zero divisor; each zero
+    divisor is one, has no inverse and determinants 0."""
+    cases = []
+    for x, want in units:
+        inv = inverse(x)
+        assert not is_zero_divisor(x) and (want is None or inv == want)
+        cases += [(x, inv, (form.one(),)), (inv, x, (form.one(),))]
+    _check_against_oracle(cases, monkeypatch, masks)
+    zero = form.field.zero
+    for z in zero_divisors:
+        assert is_zero_divisor(z) and translation_determinants(z) == (zero, zero)
+        with pytest.raises(NotInvertible):
+            inverse(z)
+
+
+@pytest.mark.parametrize("field", SPLIT_FIELDS, ids=lambda f: f.to_text())
+def test_split_inverses_and_zero_divisors_against_word_oracle(field, monkeypatch):
+    """At every rank 1-10 on the drawn diagonal's leading entries: a dense
+    random element (when it is a unit) and a product of n factors a + b e_B
+    have two-sided inverses by word products, the first its known one; with
+    the n-th entry set to -1 (e_n^2 = 1), (1 + e_B) r is a zero divisor for
+    a blade with e_B^2 = 1.  Every coefficient up to rank 6, three above."""
+    @settings(deadline=None, derandomize=True, max_examples=2, database=None)
+    @given(diag=st.lists(st.integers(-9, 9).filter(lambda v: v % field.p), min_size=10, max_size=10),
+           seed=st.integers(0, 2**32))
+    def check(diag, seed):
+        rng = random.Random(seed)
+        for n in range(1, 11):
+            form = QuadraticForm(diag[:n], field)
+            dense = random_multivector(rng, form)
+            units = [_unit(rng, form, [rng.randrange(1, form.dim) for _ in range(n)])]
+            units += [(dense, None)] if dense and translation_determinants(dense)[0] else []
+            twin = QuadraticForm(diag[:n - 1] + [-1], field)
+            involutive = [m for m in range(1, twin.dim) if twin.blade_square(m) == field.one]
+            zero_divisors = [_zero_divisor(rng, twin, twin.basis_blade(rng.choice(involutive)))]
+            masks = None if n <= 6 else rng.sample(range(form.dim), 3)
+            _check_route(form, units, [], monkeypatch, masks)
+            _check_route(twin, [], zero_divisors, monkeypatch)
+
+    check()
+
+
+@pytest.mark.parametrize("field", SPLIT_FIELDS, ids=lambda f: f.to_text())
+def test_split_determinants_against_the_right_matrix(field):
+    """At every rank 1-7, on dense, sparse, unit and zero-divisor elements,
+    both determinants are det phi(x)^(2^n / D) = det R_x, R_x eliminated
+    as a 2^n x 2^n matrix off the route, and decide zero-divisorhood."""
+    rng = random.Random(SEED + 22)
+    for n in range(1, 8):
+        diag = [rng.choice([v for v in range(-9, 10) if v % field.p]) for _ in range(n - 1)] + [-1]
+        form = QuadraticForm(diag, field)
+        xs = [random_multivector(rng, form), random_multivector(rng, form, 3),
+              _unit(rng, form, [rng.randrange(1, form.dim) for _ in range(n)])[0],
+              _zero_divisor(rng, form, form.generator(n))]
+        for x in xs:
+            want = linalg.determinant(operators.right_matrix(x), field)
+            assert translation_determinants(x) == (want, want) and field.owns(want)
+            assert is_zero_divisor(x) == (not want)
+        assert translation_determinants(xs[2])[0] and not translation_determinants(xs[3])[0]
+
+
+# Over F_3, u squares to 1: for diag:1,1 no blade does, but e1 + e2 does.
+# diag:1,1,-1,-1 takes the third branch on both of its pairs.
+@pytest.mark.parametrize("text, u", [("diag:-1,1", "e1"), ("diag:1,-1", "e2"),
+                                     ("diag:1,1", "e1 + e2"), ("diag:1,1,-1,-1", "e3")])
+def test_split_inverses_on_each_f3_branch(text, u, monkeypatch):
+    """Units and zero divisors on each of the three F_3 splits, exhaustively
+    checked, with their determinants against R_x."""
+    form = QuadraticForm.from_text(text, FieldSpec.prime(3))
+    rng = random.Random(SEED + 23)
+    units = [_unit(rng, form, rng.sample(range(1, form.dim), min(3, form.dim - 1)))
+             for _ in range(4)]
+    zero_divisors = [_zero_divisor(rng, form, form.parse(u)) for _ in range(4)]
+    _check_route(form, units, zero_divisors, monkeypatch)
+    for x in [x for x, _ in units] + zero_divisors:
+        want = linalg.determinant(operators.right_matrix(x), form.field)
+        assert translation_determinants(x) == (want, want)
+
+
+def test_split_inverse_of_a_dense_unit_at_rank_12(monkeypatch):
+    """(a_1 + b_1 e_1) ... (a_12 + b_12 e_12) has all 4096 coefficients
+    nonzero; its inverse is the known one, and one sampled coefficient of
+    each product with it is summed over 4096 word products."""
+    form = QuadraticForm.from_text("diag:1,-1,2,-3,5,1,-1,7,3,-2,1,-5", FieldSpec.prime(101))
+    rng = random.Random(SEED + 24)
+    x, xinv = _unit(rng, form, [1 << i for i in range(12)])
+    assert all(x.coeffs)
+    _check_route(form, [(x, xinv)], [], monkeypatch, [rng.randrange(form.dim)])

@@ -14,7 +14,9 @@ GENERATORS = 16  # generator counts a QuadraticForm accepts: the advertised n <=
 # verify_classification: n generators tested on each of 2^n blades, 0.1 s at
 # n = 14; at 16, 0.4 s, and check_centers + check_classification take 0.9 s.
 CENTER_SOLVE = 14
-KILLING_TRACE = 8  # trace route of killing_form: cubic in the Lie dimension
+# Trace route of killing_form: quadratic in the Lie dimension, all entries of
+# sig:n,0 in 0.13 s at n = 10, 0.49 s at 11, 2.1 s at 12 (2-core machine).
+KILLING_TRACE = 10
 ISOMETRY_GRAM = 8  # Gram preservation in isometry_evidence: a dim^3 loop
 MULTIPLICATIVITY = 6  # equivalence_isomorphism's check on all 4^n blade pairs
 UNIQUENESS_SOLVE = 3  # pairing axioms: 2n·4^n equations in 4^n / 2 unknowns

@@ -83,6 +83,10 @@ class Fp:
     mix with rationals; both mistakes raise :class:`MixedFieldSpec`.  Plain
     ``int`` operands are accepted and reduced, which keeps formulas such as
     ``2 * x`` readable.
+
+    A residue hashes as its int in [0, p), as ``Fraction(1)`` hashes as 1, so
+    sets and dicts find one by the other; an int outside [0, p) can compare
+    equal (``Fp(1, 7) == 8``) without hashing alike.
     """
 
     __slots__ = ("residue", "modulus")
@@ -167,7 +171,7 @@ class Fp:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.residue, self.modulus))
+        return hash(self.residue)
 
     def __bool__(self):
         return self.residue != 0

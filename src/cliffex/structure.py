@@ -22,13 +22,14 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import caps, reference
+from . import caps
 from .core import (
     Multivector,
     QuadraticForm,
     format_blade,
     reorder_parity,
     reverse_sign,
+    sign_mask,
 )
 from .errors import (
     MismatchedForm,
@@ -217,23 +218,48 @@ def killing_form(form: QuadraticForm, method: str = "count") -> list:
     """All diagonal Killing entries, ascending by blade mask.
 
     ``method="count"`` uses the anticommutation-count closed form;
-    ``method="trace"`` recomputes each entry as trace(ad x ad x) from
-    dense adjoint matrices, which is the definition and serves as the
-    cross-check (capped, it scales as the cube of the Lie dimension).
+    ``method="trace"`` recomputes each entry as tr(ad x ad x), the
+    definition, by :func:`_killing_trace`; it is the cross-check, capped,
+    and its cost is quadratic in the Lie dimension.
     """
     if method not in ("count", "trace"):
         raise ParseError(f"unknown method {method!r}")
     if method == "trace":
         caps.require("KILLING_TRACE", form.n)
     masks = lie_blades(form)
-    one = form.field.one
     records = []
     for mask, (m, sq, value) in zip(masks, _killing_entries(form, masks)):
         if method == "trace":
-            ad = _ad_columns(form, ((mask, one),), masks)
-            value = reference.trace_of_product(ad, ad, form.field)
+            value = _killing_trace(form, mask, masks)
         records.append(KillingRecord(mask, format_blade(mask, form.n), m, sq, value))
     return records
+
+
+def _brackets(squares: Sequence[int], a: int) -> Callable[[int], int]:
+    """The map b -> c with [e_a, e_b] = (c / d) e_(a xor b), for (d,
+    ``squares``) a form's square table.  c is the difference of the two
+    ordered products, each the integer squares[a & b] that ``blade_product``
+    converts, signed by its reorder parity from a's two sign masks."""
+    left, right = sign_mask(a), sign_mask(a, left=False)
+
+    def bracket(b: int) -> int:
+        s = squares[a & b]
+        return (-s if (b & left).bit_count() & 1 else s) - (
+            -s if (b & right).bit_count() & 1 else s)
+
+    return bracket
+
+
+def _killing_trace(form: QuadraticForm, a: int, masks: Sequence[int]) -> FieldElement:
+    """tr(ad e_a ad e_a) on the span of the unit blades ``masks``.  The map
+    sends e_b to (c_b c_(a xor b) / d^2) e_b, c as in :func:`_brackets`, so
+    the trace is one integer sum, divided by d^2 once.  The brackets are the
+    ordered blade products as they are, so this route, the definition,
+    shares nothing with the anticommutation counts it checks."""
+    d, squares = form.square_table()
+    bracket = _brackets(squares, a)
+    total = sum(c * bracket(a ^ b) for b, c in zip(masks, map(bracket, masks)) if c)
+    return form.field.quotients((total,), d * d)[0]
 
 
 def _ad_columns(form: QuadraticForm, terms: Sequence, masks: Sequence[int]) -> list:
@@ -241,12 +267,10 @@ def _ad_columns(form: QuadraticForm, terms: Sequence, masks: Sequence[int]) -> l
     (a, x_a), on the span of the unit blades ``masks``.
 
     Column b is [x, e_b] = sum over the terms of x_a (e_a e_b - e_b e_a),
-    with both blade products taken literally, so that this route, the
-    definition of the Killing form, shares nothing with the anticommutation
-    counts.  The map a -> a xor b is injective, so each term lands on its
-    own output blade; the outputs are read in ascending mask order, and the
-    first one outside the span is the blade that
-    :class:`NotInvariantSubspace` names.
+    with both blade products taken literally.  The map a -> a xor b is
+    injective, so each term lands on its own output blade; the outputs are
+    read in ascending mask order, and the first one outside the span is the
+    blade that :class:`NotInvariantSubspace` names.
     """
     zero = form.field.zero
     rows = [[zero] * len(masks) for _ in masks]

@@ -14,7 +14,9 @@ fractional diagonal over Q, and on the signature form over F_101; then
 signature form, products at n = 10 and 16, and ``inverse`` (its two-sided
 check included), ``is_zero_divisor`` and ``translation_determinants`` of
 a dense unit at n = 8, 10 and 16, each with the time to build the form's
-split representation printed and added to the total.  Every F_101 row
+split representation printed and added to the total; last, over Q, the
+trace route of ``killing_form`` at n = 8 and 10 and ``check_killing``
+(its sampled trace entries) at n = 16.  Every F_101 row
 runs on the split matrix route (``core.SplitAlgebra``), and every Q row on
 the tuple kernel: the Q targets wait for the route's Q half.
 Times include the boxing of coefficients as ``Fp`` and ``Fraction``.
@@ -25,7 +27,7 @@ import timeit
 from random import Random
 from statistics import median
 
-from cliffex import core, operators
+from cliffex import checks, core, operators, structure
 from cliffex.core import QuadraticForm
 from cliffex.field import FieldSpec
 from cliffex.reference import random_multivector
@@ -65,6 +67,16 @@ def routed_cases():
             yield name, n, lambda x, y, f=getattr(operators, name): f(x)
 
 
+def structure_cases():
+    """(label, operation) of the Killing trace rows, on sig:n,0 over Q."""
+    for n in (8, 10):
+        form = QuadraticForm.from_text(f"sig:{n},0", Q)
+        yield (f"killing_form trace n={n} Q sig:{n},0",
+               lambda f=form: structure.killing_form(f, "trace"))
+    form = QuadraticForm.from_text("sig:16,0", Q)
+    yield "check_killing n=16 Q sig:16,0", lambda: checks.check_killing(form)
+
+
 def operands(form):
     rng = Random(20170)
     return random_multivector(rng, form), random_multivector(rng, form)
@@ -88,6 +100,9 @@ def main():
         label = f"{name:<8} n={n} F101 {signature(n)}"
         print(f"{label:<48} {(setup + run) * 1e3:10.3f} ms"
               f"  (set-up {setup * 1e3:.3f} ms + {name} {run * 1e3:.3f} ms)")
+    for label, op in structure_cases():
+        run = median(timeit.repeat(op, number=1, repeat=args.repeat))
+        print(f"{label:<48} {run * 1e3:10.3f} ms")
 
 
 if __name__ == "__main__":

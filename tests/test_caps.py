@@ -122,7 +122,6 @@ def test_a_lowered_cap_takes_effect_when_the_route_runs(monkeypatch):
 # Each capped check's name and the table entry that skips it above its value.
 SKIPPED_BY = {
     "centers": "CENTER_SOLVE",
-    "killing": "KILLING_TRACE",
     "killing_dichotomy": "KILLING_DICHOTOMY_CHECK",
     "invertibility": "INVERTIBILITY_CHECK",
     "adjoint_matrices": "ADJOINT_MATRICES_CHECK",
@@ -138,7 +137,8 @@ SKIPPED_BY = {
 )
 def test_checks_pass_above_every_cap(text, field):
     """Every check passes, and exactly the checks whose cap is below the rank
-    skip, naming the cap; rank 15 is above every entry of SKIPPED_BY."""
+    skip, naming the cap; rank 15 is above every entry of SKIPPED_BY.  The
+    Killing check samples above its cap instead of skipping."""
     form = QuadraticForm.from_text(text, FieldSpec.from_text(field))
     results = run_checks(form, seed=0)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
@@ -154,3 +154,6 @@ def test_checks_pass_above_every_cap(text, field):
         expected["definiteness"] = "needs an ordered field"
         expected["classification"] = "table verification runs over the rationals"
     assert skipped == expected
+    killing = next(r for r in results if r.name == "killing")
+    assert killing.detail == ("2 sampled diagonal entries agree with traces; "
+                              f"KILLING_TRACE capped at n = {TABLE['KILLING_TRACE']}")

@@ -13,7 +13,7 @@ from cliffex.checks import (
     check_volume,
     volume_commutation_report,
 )
-from cliffex.core import BladeProduct
+from cliffex.core import BladeProduct, format_blade
 from cliffex.errors import InternalInconsistency, OddDimension
 from cliffex.field import RATIONAL, FieldSpec
 
@@ -213,12 +213,44 @@ def test_killing_check_runs_the_trace_route_up_to_the_oracle_cap(monkeypatch):
     for n in (6, caps.KILLING_TRACE):
         result = check_killing(QuadraticForm([1] * n, RATIONAL))
         assert result.passed and not result.skipped, result
+        assert result.detail == f"{structure.lie_dimension(n)} diagonal entries agree with traces"
     above = check_killing(QuadraticForm([1] * (caps.KILLING_TRACE + 1), RATIONAL))
-    assert above.skipped
-    assert above.detail == f"KILLING_TRACE capped at n = {caps.KILLING_TRACE}"
-    # Doubling every adjoint matrix quadruples the traces: the routes disagree.
-    ad = structure._ad_columns
-    monkeypatch.setattr(
-        structure, "_ad_columns", lambda *a: [[v + v for v in row] for row in ad(*a)]
-    )
+    assert above.passed and not above.skipped
+    assert above.detail == ("2 sampled diagonal entries agree with traces; "
+                            f"KILLING_TRACE capped at n = {caps.KILLING_TRACE}")
+    # Doubling every bracket of the trace sum quadruples the traces: the routes disagree.
+    monkeypatch.setattr(structure, "_brackets", _brackets_times(lambda b: 2))
     assert not check_killing(QuadraticForm([1, 1, -1], RATIONAL)).passed
+
+
+def _off_by_one_at(grade):
+    """``_anticommuting_count`` one too high at ``grade``."""
+    count = structure._anticommuting_count
+    return lambda n, k: count(n, k) + (k == grade)
+
+
+def _brackets_times(factor):
+    """``_brackets`` with the bracket against each blade e_b scaled by factor(b)."""
+    brackets = structure._brackets
+    return lambda sq, a: lambda b, f=brackets(sq, a): factor(b) * f(b)
+
+
+@pytest.mark.parametrize("text", ["sig:12,0", "sig:9,7"])
+def test_the_sampled_killing_check_catches_a_fault_in_either_route(monkeypatch, text):
+    """Above the cap the two sampled blades, of grade 1 and of the highest Lie
+    grade, still see a fault in the trace sum or in the count at those grades."""
+    form = QuadraticForm.from_text(text)
+    assert form.n > caps.KILLING_TRACE
+    top = max(k for k in range(1, form.n + 1) if k % 4 in (1, 2))
+    low, high = (f"routes disagree at blade {format_blade(m, form.n)}" for m in (1, (1 << top) - 1))
+    faults = [
+        ("_brackets", _brackets_times(lambda b: 2), low),
+        ("_brackets", _brackets_times(lambda b: -1 if b.bit_count() == 2 else 1), low),
+        ("_anticommuting_count", _off_by_one_at(1), low),
+        ("_anticommuting_count", _off_by_one_at(top), high),
+    ]
+    assert check_killing(form).passed
+    for name, fault, detail in faults:
+        monkeypatch.setattr(structure, name, fault)
+        assert check_killing(form) == CheckResult("killing", False, detail)
+        monkeypatch.undo()

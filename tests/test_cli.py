@@ -265,6 +265,26 @@ def test_mapped_commands_exist():
     assert command_names - set(OPERATION_COMMAND.values()) == {"involute"}
 
 
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("field", ["rational", "fp:7"])
+def test_killing_trace_prints_the_count_up_to_the_raised_cap(capsys, n, field):
+    base = ("killing", "--form", f"sig:{n - n // 3},{n // 3}", "--field", field)
+    code, text, _ = run_cli(capsys, *base, "--method", "trace")
+    assert code == 0 and (code, text) == run_cli(capsys, *base, "--method", "count")[:2]
+    jsons = [json.loads(run_cli(capsys, *base, "--method", m, "--format", "json")[1])
+             for m in ("trace", "count")]
+    assert jsons[0]["killing"] == jsons[1]["killing"]
+
+
+def test_check_at_rank_sixteen_samples_the_killing_trace(capsys):
+    code, out, _ = run_cli(capsys, "check", "--form", "sig:16,0")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "all checks passed"
+    assert ("PASS killing (2 sampled diagonal entries agree with traces; "
+            f"KILLING_TRACE capped at n = {caps.KILLING_TRACE})") in lines
+    assert sum(line.startswith("SKIP ") for line in lines) == 7
+
+
 def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, monkeypatch):
     from cliffex import cli
 

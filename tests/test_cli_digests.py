@@ -122,7 +122,7 @@ def invocations() -> list:
     # Refusals above a cap are part of the surface too.
     out += [
         ["center", "--form", "sig:15,0", "--method", "solve"],
-        ["killing", "--form", "sig:9,0", "--method", "trace"],
+        ["killing", "--form", "sig:11,0", "--method", "trace"],
         ["classify", "--n", "15"],
     ]
     return [argv + fmt for argv in out for fmt in ([], ["--format", "json"])]

@@ -83,6 +83,16 @@ def test_a_bool_compares_as_its_int_over_both_fields(field):
     assert QuadraticForm([1, 1], field).zero() == False
 
 
+@pytest.mark.parametrize("field", [RATIONAL, FieldSpec.prime(7)], ids=lambda f: f.to_text())
+def test_equal_elements_and_ints_are_one_set_member_and_dict_key(field):
+    one, three = field.one, field.element(3)
+    assert 1 in {one} and one in {1} and True in {one} and one in {True}
+    assert {3: "int"}[three] == "int" and {three: "element"}[3] == "element"
+    assert len({one, 1, True, field.element(1), three, 3}) == 2
+    n = field.p or 5
+    assert len({field.element(v) for v in range(n)} | set(range(n))) == n
+
+
 @pytest.mark.parametrize("p", [3, 7, 101, 65537, 2**31 - 1])
 def test_square_roots_mod_p(p):
     """Each square has a root and each non-square none; p = 65537, with

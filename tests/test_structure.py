@@ -11,6 +11,7 @@ from cliffex import (
     FieldSpec,
     QuadraticForm,
     ad_matrix,
+    caps,
     center,
     checks,
     decompose,
@@ -422,6 +423,24 @@ def test_killing_trace_oracle_agrees_with_count():
             for diag in ([1] * n, [1, -1, 2, -3, 1, -1, 5, 1][:n]):
                 form = QuadraticForm(diag, field)
                 assert killing_form(form, method="trace") == killing_form(form, method="count")
+
+
+@pytest.mark.parametrize("n", range(1, caps.KILLING_TRACE + 1))
+@pytest.mark.parametrize("p", [None, 3, 7, 101], ids=["Q", "F3", "F7", "F101"])
+@settings(deadline=None, derandomize=True, max_examples=3)
+@given(data=st.data())
+def test_killing_trace_sum_is_the_count_on_every_blade(n, p, data):
+    """Over fractional Q diagonals, F_3 (where whole grades of entries
+    vanish), F_7 and F_101, at every rank the trace route runs."""
+    if p is None:
+        entry = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+    else:
+        entry = st.integers(1, p - 1)
+    diag = data.draw(st.lists(entry, min_size=n, max_size=n))
+    form = QuadraticForm(diag, p and FieldSpec.prime(p))
+    traced = killing_form(form, method="trace")
+    assert traced == killing_form(form, method="count")
+    assert [r.mask for r in traced] == list(lie_blades(form))
 
 
 def test_killing_off_diagonal_vanishes():

@@ -6,6 +6,9 @@ eigenvalues ±1; its (-1)-eigenspace is spanned by the blades of grade 1 or
 infinitesimal isometries of the canonical pairing, and everything in this
 module works in its blade basis:
 
+* one bracket, [e_a, e_b] = (c / d) e_(a xor b) with c an int read from
+  the form's square table, which the centre solve, the adjoint matrices
+  and the trace route of the Killing form all read;
 * centers of the full algebra and of the Lie algebra, both by a closed
   form and by reading the diagonal centralizer equations blade by blade;
 * the Killing form, diagonal in the blade basis, each entry 4 m s where s
@@ -27,7 +30,6 @@ from .core import (
     Multivector,
     QuadraticForm,
     format_blade,
-    reorder_parity,
     reverse_sign,
     sign_mask,
 )
@@ -69,6 +71,22 @@ def in_lie_algebra(x: Multivector) -> bool:
     return all(is_lie_blade(m) for m in x.support())
 
 
+def _brackets(squares: Sequence[int], a: int) -> Callable[[int], int]:
+    """The map b -> c with [e_a, e_b] = (c / d) e_(a xor b), for (d,
+    ``squares``) a form's square table.  c is the difference of the two
+    ordered products, each the integer squares[a & b] signed by its reorder
+    parity, read from a's two sign masks.  It is the structure layer's one
+    bracket: the centre solve, :func:`ad_matrix` and the Killing trace read it."""
+    left, right = sign_mask(a), sign_mask(a, left=False)
+
+    def bracket(b: int) -> int:
+        s = squares[a & b]
+        return (-s if (b & left).bit_count() & 1 else s) - (
+            -s if (b & right).bit_count() & 1 else s)
+
+    return bracket
+
+
 # -- centers -------------------------------------------------------------
 
 
@@ -87,20 +105,19 @@ def _centralizer_kernel(form: QuadraticForm, masks: Iterable[int]) -> list:
     """Unit blades e_m, m in ``masks`` ascending, spanning the elements of
     their span that commute with every generator, and so with the algebra.
 
-    The system is diagonal: [x, e_g] = sum_m x_m [e_m, e_g], and [e_m, e_g]
-    = c e_(m xor g) with m -> m xor g injective, so x_m meets each g in an
-    equation c x_m = 0 of its own.  e_m is in the kernel when c, the
-    difference of the two ordered products read from the integer square
-    table, vanishes in the field for every g.
+    The system is diagonal: [e_g, x] = sum_m x_m [e_g, e_m], and [e_g, e_m]
+    = (c / d) e_(g xor m) with m -> g xor m injective, so x_m meets each g
+    in an equation c x_m = 0 of its own.  e_m is in the kernel when c, from
+    the generator's :func:`_brackets`, built once per call, vanishes in the
+    field for every g; the loop stops at the first g where it does not.
     """
     p = form.field.p
     _, squares = form.square_table()
+    brackets = [_brackets(squares, 1 << k) for k in range(form.n)]
     kernel = []
     for m in masks:
-        for k in range(form.n):
-            g = 1 << k
-            s = squares[m & g]
-            c = (-s if reorder_parity(m, g) else s) - (-s if reorder_parity(g, m) else s)
+        for bracket in brackets:
+            c = bracket(m)
             if c % p if p else c:
                 break
         else:
@@ -204,7 +221,9 @@ def _killing_entries(form: QuadraticForm, masks: Sequence[int]) -> list:
 def killing_entry(form: QuadraticForm, a: int, b: int) -> FieldElement:
     """Killing form of two basis blades of the Lie algebra.
 
-    Off-diagonal pairs pair to zero; a diagonal entry is 4 m s with m the
+    Off-diagonal pairs pair to zero by the Z_2^n grading: ad e_a ad e_b sends
+    e_c to a multiple of e_(a xor b xor c), never e_c when a != b, so the
+    trace is an empty sum.  A diagonal entry is 4 m s with m the
     anticommuting count and s the blade's scalar square.
     """
     if not (is_lie_blade(form.check_mask(a)) and is_lie_blade(form.check_mask(b))):
@@ -235,21 +254,6 @@ def killing_form(form: QuadraticForm, method: str = "count") -> list:
     return records
 
 
-def _brackets(squares: Sequence[int], a: int) -> Callable[[int], int]:
-    """The map b -> c with [e_a, e_b] = (c / d) e_(a xor b), for (d,
-    ``squares``) a form's square table.  c is the difference of the two
-    ordered products, each the integer squares[a & b] that ``blade_product``
-    converts, signed by its reorder parity from a's two sign masks."""
-    left, right = sign_mask(a), sign_mask(a, left=False)
-
-    def bracket(b: int) -> int:
-        s = squares[a & b]
-        return (-s if (b & left).bit_count() & 1 else s) - (
-            -s if (b & right).bit_count() & 1 else s)
-
-    return bracket
-
-
 def _killing_trace(form: QuadraticForm, a: int, masks: Sequence[int]) -> FieldElement:
     """tr(ad e_a ad e_a) on the span of the unit blades ``masks``.  The map
     sends e_b to (c_b c_(a xor b) / d^2) e_b, c as in :func:`_brackets`, so
@@ -262,60 +266,51 @@ def _killing_trace(form: QuadraticForm, a: int, masks: Sequence[int]) -> FieldEl
     return form.field.quotients((total,), d * d)[0]
 
 
-def _ad_columns(form: QuadraticForm, terms: Sequence, masks: Sequence[int]) -> list:
-    """Matrix of bracketing with x = sum x_a e_a, for ``terms`` the pairs
-    (a, x_a), on the span of the unit blades ``masks``.
-
-    Column b is [x, e_b] = sum over the terms of x_a (e_a e_b - e_b e_a),
-    with both blade products taken literally.  The map a -> a xor b is
-    injective, so each term lands on its own output blade; the outputs are
-    read in ascending mask order, and the first one outside the span is the
-    blade that :class:`NotInvariantSubspace` names.
-    """
-    zero = form.field.zero
-    rows = [[zero] * len(masks) for _ in masks]
-    pos = {m: i for i, m in enumerate(masks)}
-    product = form.blade_product
-    for c, b in enumerate(masks):
-        out = {}
-        for a, x_a in terms:
-            ab = product(a, b)
-            diff = ab.coef - product(b, a).coef
-            if diff:
-                out[ab.mask] = x_a * diff
-        for mask in sorted(out):
-            r = pos.get(mask)
-            if r is None:
-                raise NotInvariantSubspace(
-                    f"bracket leaves the span at blade {format_blade(mask, form.n)}"
-                )
-            rows[r][c] = out[mask]
-    return rows
-
-
 def ad_matrix(xi: Multivector, basis: Optional[Sequence[Multivector]] = None) -> list:
     """Matrix of bracketing with ``xi`` on the span of ``basis``, a list of
-    unit blades e_b, by default the Lie algebra's blade basis.
+    distinct unit blades e_b, by default the Lie algebra's blade basis.
 
+    Each term x_a e_a of ``xi`` gets its :func:`_brackets` once, and column
+    b gets x_a c / d in row a xor b for each term with c nonzero in the
+    field: a -> a xor b is injective, so the terms land on distinct rows.
     Raises :class:`NotInLieAlgebra` when ``xi`` is outside the Lie algebra,
     :class:`MismatchedForm` when a basis element lives over another form,
-    and :class:`NotInvariantSubspace` when a basis element is not a unit
-    blade or some bracket leaves the span, naming the lowest blade that
-    leaves it.
+    and :class:`NotInvariantSubspace` when the basis is not of distinct unit
+    blades or some bracket leaves the span, naming the lowest blade that
+    leaves it in the first column, in basis order, where one does.
     """
     if not in_lie_algebra(xi):
         raise NotInLieAlgebra("ad is defined for Lie-algebra elements")
     form = xi.form
+    f = form.field
     if basis is None:
         masks = lie_blades(form)
     else:
         if any(b.form != form for b in basis):
             raise MismatchedForm("ad_matrix needs a basis over the element's form")
-        supports = [b.support() for b in basis]
-        if any(len(s) != 1 or b.coeffs[s[0]] != form.field.one for b, s in zip(basis, supports)):
+        masks = [s[0] for s in map(Multivector.support, basis) if len(s) == 1]
+        if len(set(masks)) < len(basis) or any(b.coeffs[m] != f.one for b, m in zip(basis, masks)):
             raise NotInvariantSubspace("ad_matrix needs a basis of unit blades")
-        masks = [s[0] for s in supports]
-    return _ad_columns(form, list(xi.terms()), masks)
+    p = f.p
+    d, squares = form.square_table()
+    unit = f.quotients((1,), d)[0]
+    pos = {m: i for i, m in enumerate(masks)}
+    rows = [[f.zero] * len(masks) for _ in masks]
+    leaving = []
+    for a, x_a in xi.terms():
+        bracket, scale = _brackets(squares, a), x_a * unit
+        for col, b in enumerate(masks):
+            c = bracket(b)
+            if c % p if p else c:
+                r = pos.get(a ^ b)
+                if r is None:
+                    leaving.append((col, a ^ b))
+                else:
+                    rows[r][col] = scale * c
+    if leaving:
+        mask = min(leaving)[1]
+        raise NotInvariantSubspace(f"bracket leaves the span at blade {format_blade(mask, form.n)}")
+    return rows
 
 
 # -- decomposition -------------------------------------------------------

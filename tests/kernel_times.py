@@ -15,8 +15,10 @@ signature form, products at n = 10 and 16, and ``inverse`` (its two-sided
 check included), ``is_zero_divisor`` and ``translation_determinants`` of
 a dense unit at n = 8, 10 and 16, each with the time to build the form's
 split representation printed and added to the total; last, over Q, the
-trace route of ``killing_form`` at n = 8 and 10 and ``check_killing``
-(its sampled trace entries) at n = 16.  Every F_101 row
+trace route of ``killing_form`` at n = 8 and 10, ``check_killing``
+(its sampled trace entries) at n = 16 and ``ad_matrix`` of a 6-term Lie
+element at n = 8 on the fractional diagonal, and ``center(method="solve")``
+at n = 10 and 14 over Q and F_7.  Every F_101 row
 runs on the split matrix route (``core.SplitAlgebra``), and every Q row on
 the tuple kernel: the Q targets wait for the route's Q half.
 Times include the boxing of coefficients as ``Fp`` and ``Fraction``.
@@ -30,9 +32,9 @@ from statistics import median
 from cliffex import checks, core, operators, structure
 from cliffex.core import QuadraticForm
 from cliffex.field import FieldSpec
-from cliffex.reference import random_multivector
+from cliffex.reference import random_multivector, random_nonzero_element
 
-Q, F101 = FieldSpec.rational(), FieldSpec.prime(101)
+Q, F7, F101 = FieldSpec.rational(), FieldSpec.prime(7), FieldSpec.prime(101)
 FRACTIONAL = ("1/2", "2", "-3", "1", "-1/3", "3", "-2", "1/2")
 
 
@@ -68,13 +70,24 @@ def routed_cases():
 
 
 def structure_cases():
-    """(label, operation) of the Killing trace rows, on sig:n,0 over Q."""
+    """(label, operation) of the structure rows: the Killing trace on sig:n,0
+    over Q, ``ad_matrix`` and the centre solve."""
     for n in (8, 10):
         form = QuadraticForm.from_text(f"sig:{n},0", Q)
         yield (f"killing_form trace n={n} Q sig:{n},0",
                lambda f=form: structure.killing_form(f, "trace"))
     form = QuadraticForm.from_text("sig:16,0", Q)
     yield "check_killing n=16 Q sig:16,0", lambda: checks.check_killing(form)
+    form = QuadraticForm.from_text(fractional(8), Q)
+    rng = Random(20170)
+    xi = form.multivector({m: random_nonzero_element(rng, Q)
+                           for m in rng.sample(structure.lie_blades(form), 6)})
+    yield f"ad_matrix n=8 Q {fractional(8)}", lambda: structure.ad_matrix(xi)
+    for n in (10, 14):
+        for field, tag in ((Q, "Q "), (F7, "F7")):
+            form = QuadraticForm.from_text(signature(n), field)
+            yield (f"center solve n={n} {tag} {signature(n)}",
+                   lambda f=form: structure.center(f, method="solve"))
 
 
 def operands(form):

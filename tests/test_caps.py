@@ -83,7 +83,7 @@ def test_every_table_entry_is_read_and_every_named_cap_exists():
 def test_capped_routes_refuse_before_any_work(monkeypatch):
     monkeypatch.setattr(structure, "_centralizer_kernel", _fail_if_called)
     monkeypatch.setattr(structure, "ad_matrix", _fail_if_called)
-    monkeypatch.setattr(structure, "_ad_columns", _fail_if_called)
+    monkeypatch.setattr(structure, "_brackets", _fail_if_called)
     monkeypatch.setattr(classify, "matrix_algebra_of", _fail_if_called)
     monkeypatch.setattr(QuadraticForm, "blade_product", _fail_if_called)
     solve = f"^CENTER_SOLVE capped at n = {caps.CENTER_SOLVE}$"

@@ -1,5 +1,6 @@
 """The self-check battery: every check passes on every supported form."""
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -233,6 +234,32 @@ def _brackets_times(factor):
     """``_brackets`` with the bracket against each blade e_b scaled by factor(b)."""
     brackets = structure._brackets
     return lambda sq, a: lambda b, f=brackets(sq, a): factor(b) * f(b)
+
+
+def _brackets_against_generators_vanish(sq, a, brackets=structure._brackets):
+    return (lambda b: 0) if a.bit_count() == 1 else brackets(sq, a)
+
+
+def _ad_matrix_differs_from_commutators(form):
+    masks = structure.lie_blades(form)
+    xi = form.multivector({m: i + 1 for i, m in enumerate(masks[:6])})
+    want = [[xi.commutator(form.basis_blade(b)).coeff(a) for b in masks] for a in masks]
+    return structure.ad_matrix(xi) != want
+
+
+@pytest.mark.parametrize("fault, caught", [
+    (_brackets_against_generators_vanish, lambda form: not check_centers(form).passed),
+    (_brackets_times(lambda b: -1 if b.bit_count() == 2 else 1), _ad_matrix_differs_from_commutators),
+], ids=["generators-zero-centers", "grade-2-sign-ad-matrix"])
+@pytest.mark.parametrize("field", [None, FieldSpec.prime(7)], ids=["Q", "F7"])
+def test_a_fault_in_the_shared_bracket_is_caught_by_a_second_route(monkeypatch, fault, caught, field):
+    """``_brackets`` feeds the centre solve, ``ad_matrix`` and the Killing
+    trace; check_centers (against the closed forms) and the dense commutators
+    each see a fault in it."""
+    form = QuadraticForm([Fraction(1, 2), -1, 3, Fraction(-2, 3)], field)
+    assert not caught(form)
+    monkeypatch.setattr(structure, "_brackets", fault)
+    assert caught(form)
 
 
 @pytest.mark.parametrize("text", ["sig:12,0", "sig:9,7"])

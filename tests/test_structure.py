@@ -290,17 +290,21 @@ def test_ad_matrix_encodes_the_bracket():
 
 
 def test_ad_matrix_matches_dense_commutators_column_by_column():
+    """Integer diagonals, a fractional diagonal over Q, where the brackets are
+    divided by d != 1, and F_3, F_7 and F_101."""
     rng = random.Random(SEED + 9)
-    for field in (FieldSpec.rational(), FieldSpec.prime(7)):
+    fractional = (Fraction(1, 2), Fraction(-2, 3), 3, Fraction(-5, 4), Fraction(7, 6))
+    for field, entries in ((None, (1, -1, 2, -3)), (None, fractional), (FieldSpec.prime(3), (1, -1)),
+                           (F7, (1, -1, 2, -3)), (FieldSpec.prime(101), (1, -1, 2, -3, 50))):
         for n in range(1, 7):
-            form = QuadraticForm([rng.choice((1, -1, 2, -3)) for _ in range(n)], field)
+            form = QuadraticForm([rng.choice(entries) for _ in range(n)], field)
             blades = lie_blades(form)
             for _ in range(3):
                 # Several terms with nonzero coefficients, so xi is not a blade
                 # (except at n = 1, where the Lie algebra is one line).
                 picks = rng.sample(blades, min(len(blades), rng.randint(2, 6)))
                 xi = form.multivector(
-                    {m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                    {m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 4, 5)))
                      for m in picks}
                 )
                 m = ad_matrix(xi)
@@ -334,7 +338,7 @@ def test_ad_matrix_refuses_a_basis_element_that_is_not_a_unit_blade():
         e1, e2 = form.basis_blade(0b001), form.basis_blade(0b010)
         # Each of these spans a space that [xi, -] maps into itself.
         for bad in ([e1, e2 * 2, form.parse("e12")], [e1 + e2, e1 - e2, form.parse("e12")],
-                    [e1, e2, form.zero()]):
+                    [e1, e2, form.zero()], [e1, e1, e2, form.parse("e12")]):
             with pytest.raises(NotInvariantSubspace, match="^ad_matrix needs a basis of unit blades$"):
                 ad_matrix(xi, bad)
         assert len(ad_matrix(xi, [e1, e2, form.parse("e12")])) == 3

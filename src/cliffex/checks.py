@@ -323,11 +323,14 @@ def check_killing(form: QuadraticForm, rng: Random) -> str:
     for rec_c, rec_t in zip(counted, traced):
         _expect(rec_c.mask == rec_t.mask and rec_c.value == rec_t.value,
                 f"routes disagree at blade {rec_c.blade}")
-    # Off-diagonal spot check through traces.
-    if len(masks) >= 2:
-        ad0, ad1 = (structure.ad_matrix(form.basis_blade(m)) for m in masks[:2])
-        _expect(not reference.trace_of_product(ad0, ad1, form.field),
-                "off-diagonal trace is nonzero")
+    # Off the diagonal tr(ad e_a ad e_b) is an empty sum when ad e_a sends each
+    # e_b only to e_(a xor b), as a != b then moves every blade: check that.
+    pos, zero = {m: i for i, m in enumerate(masks)}, form.field.zero
+    for a in masks[:2]:
+        for b, col in zip(masks, zip(*structure.ad_matrix(form.basis_blade(a)))):
+            r = pos.get(a ^ b)
+            _expect(col.count(zero) + (r is not None and bool(col[r])) == len(col),
+                    f"ad {format_blade(a, n)} sends {format_blade(b, n)} off its graded blade")
     return f"{len(counted)} diagonal entries agree with traces"
 
 

@@ -301,12 +301,13 @@ class QuadraticForm:
 
     def multivector(self, data) -> "Multivector":
         """Build from a mask -> coefficient mapping or a dense sequence."""
+        zero = self.field.zero
         if isinstance(data, dict):
-            coeffs = [self.field.zero] * self.dim
+            coeffs = [zero] * self.dim
             for mask, val in data.items():
-                coeffs[self.check_mask(mask)] = self.field.element(val)
+                coeffs[self.check_mask(mask)] = self.field.element(val) or zero
         else:
-            coeffs = [self.field.element(v) for v in data]
+            coeffs = [self.field.element(v) or zero for v in data]
             if len(coeffs) != self.dim:
                 raise MismatchedForm(f"expected {self.dim} coefficients, got {len(coeffs)}")
         return Multivector._make(self, tuple(coeffs))
@@ -359,18 +360,19 @@ class Multivector:
         return self.coeffs[0]
 
     def support(self) -> tuple:
-        return tuple(m for m, c in enumerate(self.coeffs) if c)
+        return tuple(m for m, _ in self.terms())
 
     def terms(self) -> Iterator:
+        z = self.form.field.zero
         for m, c in enumerate(self.coeffs):
-            if c:
+            if c is not z and c:
                 yield m, c
 
     def grades(self) -> set:
         return {m.bit_count() for m, _ in self.terms()}
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return next(self.terms(), None) is None
 
     def __bool__(self):
         return not self.is_zero()
@@ -378,7 +380,7 @@ class Multivector:
     # -- ring structure --------------------------------------------------
 
     def _check_mate(self, other: "Multivector"):
-        if self.form != other.form:
+        if self.form is not other.form and self.form != other.form:
             raise MismatchedForm("operands live over different quadratic forms")
 
     def _as_scalar(self, value) -> Optional[FieldElement]:
@@ -391,9 +393,10 @@ class Multivector:
     def __add__(self, other):
         if isinstance(other, Multivector):
             self._check_mate(other)
-            return Multivector._make(
-                self.form, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-            )
+            z = self.form.field.zero
+            return Multivector._make(self.form, tuple(
+                b if a is z else a if b is z else a + b
+                for a, b in zip(self.coeffs, other.coeffs)))
         s = self._as_scalar(other)
         if s is None:
             return NotImplemented
@@ -406,9 +409,10 @@ class Multivector:
     def __sub__(self, other):
         if isinstance(other, Multivector):
             self._check_mate(other)
-            return Multivector._make(
-                self.form, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-            )
+            z = self.form.field.zero
+            return Multivector._make(self.form, tuple(
+                a if b is z else -b if a is z else a - b
+                for a, b in zip(self.coeffs, other.coeffs)))
         s = self._as_scalar(other)
         if s is None:
             return NotImplemented
@@ -420,7 +424,8 @@ class Multivector:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Multivector._make(self.form, tuple(-c for c in self.coeffs))
+        z = self.form.field.zero
+        return Multivector._make(self.form, tuple(c if c is z else -c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -458,7 +463,8 @@ class Multivector:
         s = self._as_scalar(other)
         if s is None:
             return NotImplemented
-        return Multivector._make(self.form, tuple(c * s for c in self.coeffs))
+        z = self.form.field.zero
+        return Multivector._make(self.form, tuple(c if c is z else c * s for c in self.coeffs))
 
     def commutator(self, other: "Multivector") -> "Multivector":
         return self * other - other * self
@@ -478,11 +484,12 @@ class Multivector:
 
     def __eq__(self, other):
         if isinstance(other, Multivector):
-            return self.form == other.form and self.coeffs == other.coeffs
+            return ((self.form is other.form or self.form == other.form)
+                    and self.coeffs == other.coeffs)
         s = self._as_scalar(other)
         if s is None:
             return NotImplemented
-        return self.coeffs[0] == s and not any(self.coeffs[1:])
+        return self.coeffs[0] == s and not any(m for m, _ in self.terms())
 
     def __hash__(self):
         return hash((self.form, self.coeffs))
@@ -492,8 +499,9 @@ class Multivector:
     def _signed(self, sign_fn) -> "Multivector":
         # One sign per grade, read off the blade e_1 ... e_k.
         flip = [sign_fn((1 << k) - 1) < 0 for k in range(self.form.n + 1)]
+        z = self.form.field.zero
         coeffs = tuple(
-            -c if (c and flip[m.bit_count()]) else c for m, c in enumerate(self.coeffs)
+            c if c is z or not flip[m.bit_count()] else -c for m, c in enumerate(self.coeffs)
         )
         return Multivector._make(self.form, coeffs)
 

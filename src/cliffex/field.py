@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from numbers import Number
@@ -190,6 +191,7 @@ FieldElement = Union[Fraction, Fp]
 # The common types come first, ahead of the slower abstract-class checks.
 NUMBERS = (int, Fp, Fraction, Number)
 
+_ZEROS: dict = {}  # FieldSpec.zero, one per modulus (None for Q)
 _FP_TEXT = re.compile(r"^\s*(-?\d+)\s+mod\s+(\d+)\s*$")
 _RAT_TEXT = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$")
 
@@ -253,9 +255,11 @@ class FieldSpec:
     def is_rational(self) -> bool:
         return self.p is None
 
-    @property
+    @cached_property
     def zero(self) -> FieldElement:
-        return Fraction(0) if self.is_rational else Fp(0, self.p)
+        """The field's 0: one object per field, shared by every untouched slot
+        so that slot operations skip it by identity.  Never mutate it."""
+        return _ZEROS.setdefault(self.p, Fraction(0) if self.is_rational else Fp(0, self.p))
 
     @property
     def one(self) -> FieldElement:

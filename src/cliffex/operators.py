@@ -177,10 +177,11 @@ class AlgebraMap:
     def apply(self, x: Multivector) -> Multivector:
         if x.form != self.source:
             raise MismatchedForm("element does not live over the map's source form")
-        acc = self.target.zero()
+        out = [self.target.field.zero] * self.target.dim
         for mask, c in x.terms():
-            acc = acc + self.blade_images[mask] * c
-        return acc
+            for k, v in self.blade_images[mask].terms():
+                out[k] = out[k] + c * v
+        return Multivector._make(self.target, tuple(out))
 
     def inverse(self) -> "AlgebraMap":
         """The inverse map, from the adjoint: construction checked

@@ -224,6 +224,26 @@ def test_killing_check_runs_the_trace_route_up_to_the_oracle_cap(monkeypatch):
     assert not check_killing(QuadraticForm([1, 1, -1], RATIONAL)).passed
 
 
+@pytest.mark.parametrize("text", ["sig:3,1", "diag:1/2,-1,3,-2/3,5"])
+@pytest.mark.parametrize("field", [None, FieldSpec.prime(7)], ids=["Q", "F7"])
+def test_killing_spot_check_sees_a_bracket_sent_to_a_wrong_blade(monkeypatch, text, field):
+    """Below the cap the off-diagonal spot check reads the Z_2^n grading off
+    the columns of ad e_a: an entry moved one row off e_(a xor b) fails it."""
+    form = QuadraticForm.from_text(text, field)
+    assert check_killing(form).passed
+
+    def moved(xi, basis=None, ad_matrix=structure.ad_matrix):
+        rows = ad_matrix(xi, basis)
+        i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
+        rows[(i + 1) % len(rows)][j], rows[i][j] = rows[i][j], form.field.zero
+        return rows
+
+    monkeypatch.setattr(structure, "ad_matrix", moved)
+    result = check_killing(form)
+    assert not result.passed and result.detail.startswith("ad e1 sends e")
+    assert result.detail.endswith(" off its graded blade")
+
+
 def _off_by_one_at(grade):
     """``_anticommuting_count`` one too high at ``grade``."""
     count = structure._anticommuting_count

@@ -657,6 +657,59 @@ def test_zero_rule(field):
                 assert all(field.owns(c) for c in got.coeffs)
 
 
+SLOT_FIELDS = (RATIONAL, FieldSpec.prime(3), FieldSpec.prime(101))
+
+
+def test_field_zero_is_one_shared_object_per_field():
+    for field, want in zip(SLOT_FIELDS, (Fraction(0), Fp(0, 3), Fp(0, 101))):
+        assert field.zero is field.zero is FieldSpec(field.p).zero
+        assert field.zero == want and type(field.zero) is type(want)
+    assert FieldSpec.prime(3).zero is not FieldSpec.prime(101).zero
+
+
+def _with_fresh_zeros(x):
+    """x with each zero slot a new zero object, not the field's shared one,
+    as a cancelling sum leaves it."""
+    f = x.form.field
+    return Multivector._make(x.form, tuple(c or f.element(0) for c in x.coeffs))
+
+
+@pytest.mark.parametrize("field", SLOT_FIELDS, ids=lambda f: f.to_text())
+def test_slot_operations_agree_with_field_arithmetic(field):
+    """+, -, negation, scalar multiples on either side, the three involutions
+    and == on zero, sparse (1-4 terms) and dense operands at ranks 1-6, slot
+    by slot against field arithmetic on ``coeffs``; exact cancellation gives
+    the zero element with every slot 0."""
+    @settings(deadline=None, derandomize=True, max_examples=6, database=None)
+    @given(seed=st.integers(0, 2**32), scalar=st.integers(-3, 3))
+    def check(seed, scalar):
+        rng = random.Random(seed)
+        s = field.element(scalar)
+        for n in range(1, 7):
+            form = QuadraticForm([rng.choice((1, -1, 2, Fraction(-1, 2))) for _ in range(n)], field)
+            dense = random_multivector(rng, form)
+            xs = [form.zero(), dense, _with_fresh_zeros(random_multivector(rng, form, 2))]
+            xs += [random_multivector(rng, form, terms) for terms in range(1, 5)]
+            for x in xs:
+                a = list(x.coeffs)
+                results = [(-x, [-c for c in a]), (x * scalar, [c * s for c in a]),
+                           (s * x, [s * c for c in a])]
+                results += [(x.involution(kind), _oracle_involution(x, kind))
+                            for kind in ("grade", "reverse", "conj")]
+                for y in xs:
+                    b = list(y.coeffs)
+                    results += [(x + y, [u + v for u, v in zip(a, b)]),
+                                (x - y, [u - v for u, v in zip(a, b)])]
+                    assert (x == y) == all(u == v for u, v in zip(a, b))
+                for got, want in results:
+                    assert list(got.coeffs) == want and all(map(field.owns, got.coeffs))
+                for zero in (x - x, x + -x, x * 0):
+                    assert zero == form.zero() and all(c == 0 for c in zero.coeffs)
+                assert x == _with_fresh_zeros(x)
+
+    check()
+
+
 # -- the split route ---------------------------------------------------------
 #
 # Dense products, inverses and zero-divisor tests over F_p go through

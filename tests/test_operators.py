@@ -1,4 +1,5 @@
 """Translation operators, invertibility, equivalence maps, pairing axioms."""
+import dataclasses
 import random
 from fractions import Fraction
 from unittest import mock
@@ -35,6 +36,7 @@ from cliffex.reference import (
     cofactor_determinant,
     random_invertible,
     random_multivector,
+    random_nonzero_element,
     random_vector,
 )
 
@@ -293,6 +295,53 @@ def test_map_respects_products_on_random_elements():
         x = random_multivector(rng, form)
         y = random_multivector(rng, form)
         assert amap.apply(x * y) == amap.apply(x) * amap.apply(y)
+
+
+ROTATION = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+
+
+def _maps_under_test(rng, field):
+    """The squared-scaling map of ``check_equivalence`` on a rank-3 form,
+    with one-term blade images, and the 3-4-5 rotation of sig:2,0, whose
+    generator images have two terms."""
+    target = QuadraticForm([1, -1, 2], field)
+    f = target.field
+    scales = [random_nonzero_element(rng, f) for _ in range(3)]
+    source = QuadraticForm([s * s * q for s, q in zip(scales, target.diag)], f)
+    t = [[scales[i] if i == j else f.zero for j in range(3)] for i in range(3)]
+    plane = QuadraticForm.from_text("sig:2,0", field)
+    return equivalence_isomorphism(t, source, target), equivalence_isomorphism(ROTATION, plane, plane)
+
+
+@pytest.mark.parametrize("field", [None, F7, FieldSpec.prime(101)], ids=["Q", "F7", "F101"])
+def test_algebra_map_apply_is_the_sum_of_scaled_blade_images(field):
+    """apply(x) on zero, sparse and dense x equals the sum over the masks m
+    of x_m times the image of e_m, added here slot by slot."""
+    rng = random.Random(SEED + 11)
+    scaling, rotation = _maps_under_test(rng, field)
+    assert max(len(img.support()) for img in rotation.blade_images) == 2
+    for amap in (scaling, rotation):
+        f, dim = amap.target.field, amap.target.dim
+        for terms in (0, 1, 2, None, None):
+            x = random_multivector(rng, amap.source, terms)
+            want = [f.zero] * dim
+            for c, image in zip(x.coeffs, amap.blade_images):
+                want = [w + c * v for w, v in zip(want, image.coeffs)]
+            got = amap.apply(x)
+            assert got.form is amap.target and list(got.coeffs) == want
+            assert all(map(f.owns, got.coeffs))
+
+
+@pytest.mark.parametrize("field", [None, F7], ids=["Q", "F7"])
+def test_verify_multiplicative_sees_one_negated_blade_image(field):
+    """Negating the image of any one blade at rank 2 or 3 breaks
+    multiplicativity, so the construction's cross-check keeps its teeth."""
+    for amap in _maps_under_test(random.Random(SEED + 12), field):
+        assert amap.verify_multiplicative()
+        for mask in range(amap.source.dim):
+            images = list(amap.blade_images)
+            images[mask] = -images[mask]
+            assert not dataclasses.replace(amap, blade_images=images).verify_multiplicative()
 
 
 def test_non_equivalent_substitution_is_refused():

@@ -2,34 +2,46 @@
 
 A cap is the largest rank n at which an enumeration, exact solve or dense
 cross-check runs; above it the route raises CapExceeded or the check is
-skipped (blade pairs are sampled).  The closed forms run at every rank.
-SPLIT_PRODUCT is no cap: it picks an exact product route at every rank.
-Callers read ``caps.NAME`` when they run, so a test can substitute a value
-with ``monkeypatch``.  Raise a cap only with a measurement at the new rank.
+skipped (blade pairs are sampled).  The closed forms and the centre solve
+run at every rank.  SPLIT_PRODUCT is no cap: it picks an exact product
+route at every rank.  Callers read ``caps.NAME`` when they run, so a test
+can substitute a value with ``monkeypatch``.  Each cap states its measured
+cost at its value and one rank above (2-core machine); raise one only with
+a measurement at the new rank.
 """
 from .errors import CapExceeded
 
-GENERATORS = 16  # generator counts a QuadraticForm accepts: the advertised n <= 16
-# Exact centralizer solve of center / lie_center (method="solve") and so of
-# verify_classification: n generators tested on each of 2^n blades, 9 ms at
-# n = 14; at 16, 32 ms, and check_centers + check_classification take 0.28 s.
-CENTER_SOLVE = 14
+# Generator counts a QuadraticForm accepts (the advertised n <= 16), and ranks
+# verify_classification takes: `cliffex check` on sig:16,0 takes 2.4 s.
+GENERATORS = 16
 # Trace route of killing_form: quadratic in the Lie dimension, all entries of
-# sig:n,0 in 0.13 s at n = 10, 0.49 s at 11, 2.1 s at 12 (2-core machine).
+# sig:n,0 in 0.13 s at n = 10, 0.49 s at 11, 2.1 s at 12.
 KILLING_TRACE = 10
-ISOMETRY_GRAM = 8  # Gram preservation in isometry_evidence: a dim^3 loop
-MULTIPLICATIVITY = 6  # equivalence_isomorphism's check on all 4^n blade pairs
-UNIQUENESS_SOLVE = 3  # pairing axioms: 2n·4^n equations in 4^n / 2 unknowns
+# Gram preservation in isometry_evidence, dim t^2 per translation by a t-term
+# element: 2 ms on a sampled rotor at n = 8, 4-6 ms at 9.
+ISOMETRY_GRAM = 8
+# equivalence_isomorphism's check on all 4^n blade pairs, and check_equivalence:
+# 0.06-0.12 s and 0.13-0.30 s at n = 6, 0.33-0.54 s and 0.67-1.25 s at 7.
+MULTIPLICATIVITY = 6
+# Pairing axioms, 2n·4^n equations in 4^n / 2 unknowns, solved twice (with and
+# without parity invariance): 3-4 ms at n = 3, 54-76 ms at 4.
+UNIQUENESS_SOLVE = 3
 # F_p products of |supp x| |supp y| >= SPLIT_PRODUCT 2^n go to the split route.
 # Over F_101 it broke even at 4 pairs per blade for even n, 8 for odd n (4..10).
 SPLIT_PRODUCT = 8
 
-# Checks in checks.py that sweep dense objects.
-BLADE_PAIRS_EXHAUSTIVE = 5  # every blade pair against the word oracle; 200 sampled above
-KILLING_DICHOTOMY_CHECK = 4  # two dense commutators per pair of Lie blades
-INVERTIBILITY_CHECK = 6  # dense 2^n x 2^n determinants and inverses
-ADJOINT_MATRICES_CHECK = 5  # dense translation matrices and their adjoints
-EQUIVALENCE_CHECK = 4  # a full AlgebraMap, built and checked both ways
+# Checks in checks.py that sweep dense objects; costs of the whole check, over
+# Q and F_7 on sig:n,0 and sig:n-n/3,n/3.
+# Every blade pair against the word oracle, 200 sampled above: 12-19 ms at
+# n = 5, 33-70 ms at 6.
+BLADE_PAIRS_EXHAUSTIVE = 5
+# Two dense commutators per pair of Lie blades: 3-6 ms at n = 4, 8-11 ms at 5,
+# 0.07 s at 6, 0.5-0.75 s at 7, about 4 s at 8.
+KILLING_DICHOTOMY_CHECK = 4
+# Dense 2^n x 2^n translation matrices in field elements, in check_invertibility
+# (0.01-0.06 s at n = 6, 0.02-0.17 s at 7) and check_adjoint_matrices
+# (0.05-0.20 s at 6, 0.14-0.71 s at 7).
+TRANSLATION_MATRICES = 6
 
 
 def over(name: str, n: int) -> str:

@@ -276,7 +276,7 @@ def _same_blades(a: structure.CenterDescription, b: structure.CenterDescription)
     return sorted(x.support() for x in a.basis) == sorted(x.support() for x in b.basis)
 
 
-@_check(cap="CENTER_SOLVE")
+@_check()
 def check_centers(form: QuadraticForm, rng: Random) -> str:
     """Solved centers must equal the closed-form answers as subspaces."""
     for space, fn in (("algebra", structure.center), ("lie", structure.lie_center)):
@@ -378,7 +378,7 @@ def check_decomposition(form: QuadraticForm, rng: Random) -> str:
     return f"ideal dim {len(dec.ideal_masks)}, codim {dec.codim}"
 
 
-@_check(cap="INVERTIBILITY_CHECK")
+@_check(cap="TRANSLATION_MATRICES")
 def check_invertibility(form: QuadraticForm, rng: Random) -> str:
     """Determinant tests versus actually producing a two-sided inverse.
 
@@ -411,7 +411,7 @@ def check_invertibility(form: QuadraticForm, rng: Random) -> str:
     return f"{inverted} random inverses verified two-sided"
 
 
-@_check(cap="ADJOINT_MATRICES_CHECK")
+@_check(cap="TRANSLATION_MATRICES")
 def check_adjoint_matrices(form: QuadraticForm, rng: Random) -> str:
     """Translation by the conjugate equals the pairing adjoint of translation."""
     for _ in range(3):
@@ -427,7 +427,7 @@ def check_adjoint_matrices(form: QuadraticForm, rng: Random) -> str:
     return "conjugation realizes the pairing adjoint"
 
 
-@_check(cap="EQUIVALENCE_CHECK")
+@_check(cap="MULTIPLICATIVITY")
 def check_equivalence(form: QuadraticForm, rng: Random) -> str:
     """Build a guaranteed equivalence by squared scaling, whose construction
     checks every blade pair, and verify it on random products and both ways."""
@@ -497,7 +497,6 @@ def check_definiteness(form: QuadraticForm, rng: Random) -> str:
 
 
 @_check(
-    cap="CENTER_SOLVE",
     definite=(
         "table verification runs over the rationals",
         "table describes positive definite forms",

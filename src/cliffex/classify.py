@@ -135,11 +135,10 @@ def verify_classification(n: int) -> ClassificationReport:
     Uses the unit-diagonal rational form.  The Lie dimension must match
     the group's dimension, the exactly solved Lie center must match the
     period-4 prediction, the Killing form must be negative on every ideal
-    blade, and the table algebra's real dimension must be 2^n.  The exact
-    Lie-center solve is the only capped step, so its cap is checked before
-    the form is built.
+    blade, and the table algebra's real dimension must be 2^n.  A rank
+    above ``caps.GENERATORS`` is refused before a form is built.
     """
-    caps.require("CENTER_SOLVE", n)
+    caps.require("GENERATORS", n)
     form = QuadraticForm([1] * n, RATIONAL)
     algebra = matrix_algebra_of(n)
     group = isometry_group_of(n)

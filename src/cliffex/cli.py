@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 
-from . import caps, classify, operators, structure
+from . import classify, operators, structure
 from .checks import _same_blades, run_checks
 from .core import QuadraticForm
 from .errors import CliffexError
@@ -180,7 +180,7 @@ def _cmd_center(args, form):
     closed = structure.center(form, method="closed_form")
     lie_closed = structure.lie_center(form, method="closed_form")
     agree = None
-    if args.method in ("solve", "both") and not caps.over("CENTER_SOLVE", form.n):
+    if args.method in ("solve", "both"):
         solved = structure.center(form, method="solve")
         lie_solved = structure.lie_center(form, method="solve")
         agree = _same_blades(solved, closed) and _same_blades(lie_solved, lie_closed)

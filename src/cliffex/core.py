@@ -431,8 +431,7 @@ class Multivector:
         if isinstance(other, Multivector):
             self._check_mate(other)
             form = self.form
-            left = [(m, c) for m, c in enumerate(self.coeffs) if c]
-            right = [(m, c) for m, c in enumerate(other.coeffs) if c]
+            left, right = list(self.terms()), list(other.terms())
             if form.field.p and len(left) * len(right) >= caps.SPLIT_PRODUCT << form.n:
                 return Multivector._make(form, form.split().product(self.coeffs, other.coeffs))
             d, minus, squares = form.unit_squares()
@@ -532,15 +531,17 @@ class Multivector:
         self._check_mate(other)
         form = self.form
         d, minus, squares = form.unit_squares()
-        total = form.field.zero
-        for m, (x, y, g) in enumerate(zip(self.coeffs, other.coeffs, form.gram_diagonal())):
-            if x and y:
+        total = z = form.field.zero
+        ys, gram = other.coeffs, form.gram_diagonal()
+        for m, x in self.terms():
+            y = ys[m]
+            if y is not z and y:
                 # g_m = (-1)^|m| sq(m): a sign when the square is a unit.
                 s = squares[m]
                 if s == d or s == minus:
                     total = total - x * y if (m.bit_count() + (s != d)) & 1 else total + x * y
                 else:
-                    total = total + x * y * g
+                    total = total + x * y * gram[m]
         return total
 
     # -- text ------------------------------------------------------------

@@ -109,18 +109,6 @@ def anticommuting_lie_blades(form: QuadraticForm, mask: int) -> list:
     return [b for b in range(form.dim) if b.bit_count() % 4 in (1, 2) and anticommute_parity(mask, b)]
 
 
-def trace_of_product(a, b, field: FieldSpec) -> FieldElement:
-    """tr(A B) for dense square matrices, skipping zero entries."""
-    total = field.zero
-    n = len(a)
-    for i in range(n):
-        row = a[i]
-        for j in range(n):
-            if row[j] and b[j][i]:
-                total = total + row[j] * b[j][i]
-    return total
-
-
 # -- seeded samplers -----------------------------------------------------
 
 

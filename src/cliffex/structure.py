@@ -134,7 +134,6 @@ def _center(
     if method == "closed_form":
         basis = closed()
     elif method == "solve":
-        caps.require("CENTER_SOLVE", form.n)
         basis = _centralizer_kernel(form, masks)
     else:
         raise ParseError(f"unknown method {method!r}")

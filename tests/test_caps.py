@@ -9,10 +9,8 @@ from cliffex import (
     FieldSpec,
     QuadraticForm,
     caps,
-    center,
     classify,
     killing_form,
-    lie_center,
     pairing_uniqueness_report,
     run_checks,
     structure,
@@ -86,17 +84,12 @@ def test_capped_routes_refuse_before_any_work(monkeypatch):
     monkeypatch.setattr(structure, "_brackets", _fail_if_called)
     monkeypatch.setattr(classify, "matrix_algebra_of", _fail_if_called)
     monkeypatch.setattr(QuadraticForm, "blade_product", _fail_if_called)
-    solve = f"^CENTER_SOLVE capped at n = {caps.CENTER_SOLVE}$"
-    above = QuadraticForm([1] * (caps.CENTER_SOLVE + 1))
-    for route in (center, lie_center):
-        with pytest.raises(CapExceeded, match=solve):
-            route(above, method="solve")
-    with pytest.raises(CapExceeded, match=solve):
-        verify_classification(caps.CENTER_SOLVE + 1)
     # A rank from the command line is refused before a form of that rank is built.
     monkeypatch.setattr(classify, "QuadraticForm", _fail_if_called)
-    with pytest.raises(CapExceeded, match=solve):
-        verify_classification(10**9)
+    generators = f"^GENERATORS capped at n = {caps.GENERATORS}$"
+    for n in (caps.GENERATORS + 1, 10**9):
+        with pytest.raises(CapExceeded, match=generators):
+            verify_classification(n)
     with pytest.raises(CapExceeded, match=f"^KILLING_TRACE capped at n = {caps.KILLING_TRACE}$"):
         killing_form(QuadraticForm([1] * (caps.KILLING_TRACE + 1)), method="trace")
     above = QuadraticForm([1] * (caps.UNIQUENESS_SOLVE + 1))
@@ -107,12 +100,12 @@ def test_capped_routes_refuse_before_any_work(monkeypatch):
 
 def test_a_lowered_cap_takes_effect_when_the_route_runs(monkeypatch):
     form = QuadraticForm([1, 1, 1])
-    assert center(form, method="solve").dimension == 2
-    monkeypatch.setattr(caps, "CENTER_SOLVE", 2)
-    with pytest.raises(CapExceeded, match="^CENTER_SOLVE capped at n = 2$"):
-        center(form, method="solve")
-    assert [r.detail for r in run_checks(form) if r.name == "centers"] == [
-        "CENTER_SOLVE capped at n = 2"
+    assert pairing_uniqueness_report(form).nullity == 1
+    monkeypatch.setattr(caps, "UNIQUENESS_SOLVE", 2)
+    with pytest.raises(CapExceeded, match="^UNIQUENESS_SOLVE capped at n = 2$"):
+        pairing_uniqueness_report(form)
+    assert [(r.skipped, r.detail) for r in run_checks(form) if r.name == "uniqueness"] == [
+        (True, "UNIQUENESS_SOLVE capped at n = 2")
     ]
     monkeypatch.setattr(caps, "GENERATORS", 2)
     with pytest.raises(CapExceeded, match="supported generator counts are 1..2, got 3"):
@@ -121,23 +114,23 @@ def test_a_lowered_cap_takes_effect_when_the_route_runs(monkeypatch):
 
 # Each capped check's name and the table entry that skips it above its value.
 SKIPPED_BY = {
-    "centers": "CENTER_SOLVE",
     "killing_dichotomy": "KILLING_DICHOTOMY_CHECK",
-    "invertibility": "INVERTIBILITY_CHECK",
-    "adjoint_matrices": "ADJOINT_MATRICES_CHECK",
-    "equivalence": "EQUIVALENCE_CHECK",
+    "invertibility": "TRANSLATION_MATRICES",
+    "adjoint_matrices": "TRANSLATION_MATRICES",
+    "equivalence": "MULTIPLICATIVITY",
     "uniqueness": "UNIQUENESS_SOLVE",
-    "classification": "CENTER_SOLVE",
 }
 
 
 @pytest.mark.parametrize(
     "text, field",
-    [("sig:11,0", "rational"), ("sig:12,0", "rational"), ("sig:12,0", "fp:7"), ("sig:15,0", "rational")],
+    [("sig:11,0", "rational"), ("sig:12,0", "rational"), ("sig:12,0", "fp:7"), ("sig:15,0", "rational"),
+     ("sig:16,0", "rational")],
 )
 def test_checks_pass_above_every_cap(text, field):
     """Every check passes, and exactly the checks whose cap is below the rank
-    skip, naming the cap; rank 15 is above every entry of SKIPPED_BY.  The
+    skip, naming the cap; ranks 15 and 16 are above every entry of
+    SKIPPED_BY, and the centre and classification checks run at both.  The
     Killing check samples above its cap instead of skipping."""
     form = QuadraticForm.from_text(text, FieldSpec.from_text(field))
     results = run_checks(form, seed=0)
@@ -148,7 +141,7 @@ def test_checks_pass_above_every_cap(text, field):
         for name, cap in SKIPPED_BY.items()
         if TABLE[cap] < form.n
     }
-    if form.n == 15:
+    if form.n >= 15:
         assert set(expected) == set(SKIPPED_BY)
     if field != "rational":
         expected["definiteness"] = "needs an ordered field"

@@ -104,8 +104,8 @@ def test_rank_bounds_are_enforced():
         matrix_algebra_of(0)
     with pytest.raises(CapExceeded):
         isometry_group_of(-1)
-    with pytest.raises(CapExceeded):
-        verify_classification(15)
+    with pytest.raises(CapExceeded, match="^GENERATORS capped at n = 16$"):
+        verify_classification(17)
     with pytest.raises(CapExceeded):
         verify_classification(0)
     # The tables themselves answer at every rank, verified or not.

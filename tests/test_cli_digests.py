@@ -11,11 +11,14 @@ over the same three fields, and of the element commands ``invert`` and
 sparse units, a sparse zero divisor and a dense element (at rank 1 the
 blades past e1 are refused), and of
 ``product``, ``involute`` (each kind), ``isometry`` (a rotor and a non-unit)
-and ``lie`` with a member and a non-member over Q and F_7 at ranks 1-6.  A
-change that is meant to keep the CLI byte-identical must leave every digest
-as it is.  After a deliberate change of output, regenerate the file with
-``python tests/test_cli_digests.py`` (with the package importable) and
-review the diff.
+and ``lie`` with a member and a non-member over Q and F_7 at ranks 1-6, and
+of the exact routes at the top rank 16 (``center --method solve``,
+``classify``) and two refusals above a cap.  A change that is meant to keep
+the CLI byte-identical must leave every digest as it is.  After a
+deliberate change of output, regenerate the file with
+``python tests/test_cli_digests.py`` (with the package importable): it
+prints each invocation whose digest changed, was added or was removed
+before it writes, so the extent of the change shows.
 """
 import contextlib
 import hashlib
@@ -119,11 +122,13 @@ def invocations() -> list:
         for n in range(7, 11):
             out.append(["center", "--form", f"sig:{n - n // 3},{n // 3}", "--field", field,
                         "--method", "solve"])
-    # Refusals above a cap are part of the surface too.
+    # The exact routes at the top rank, and refusals above a cap, which are
+    # part of the surface too.
     out += [
-        ["center", "--form", "sig:15,0", "--method", "solve"],
+        ["center", "--form", "sig:16,0", "--method", "solve"],
+        ["classify", "--n", "16"],
         ["killing", "--form", "sig:11,0", "--method", "trace"],
-        ["classify", "--n", "15"],
+        ["classify", "--n", "17"],
     ]
     return [argv + fmt for argv in out for fmt in ([], ["--format", "json"])]
 
@@ -148,6 +153,14 @@ def test_cli_output_matches_the_recorded_digests():
 
 
 if __name__ == "__main__":
+    recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     table = {" ".join(argv): digest(argv) for argv in invocations()}
+    for kind, keys in (
+        ("changed", [k for k in table if k in recorded and table[k] != recorded[k]]),
+        ("added", [k for k in table if k not in recorded]),
+        ("removed", [k for k in recorded if k not in table]),
+    ):
+        for key in sorted(keys):
+            print(f"{kind}: {key}")
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)

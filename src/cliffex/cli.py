@@ -1,7 +1,8 @@
 """Command line interface.
 
-One subcommand per area of the library; every exported operation is
-reachable through exactly one subcommand (see ``OPERATION_COMMAND``).
+One subcommand per area of the library; every exported operation runs
+under the one subcommand that ``OPERATION_COMMAND`` names for it, except
+``reorder_sign``, which no command needs (its entry is None).
 Output is plain text by default and JSON with ``--format json``; identical
 invocations produce byte-identical output.  Exit codes: 0 for success,
 1 for a domain error (reported as ``ErrorName: message`` on stderr), and
@@ -16,21 +17,19 @@ import sys
 
 from . import classify, operators, structure
 from .checks import _same_blades, run_checks
-from .core import QuadraticForm
+from .core import QuadraticForm, pairing
 from .errors import CliffexError
 from .field import FieldSpec
 
-# Exported operation -> the one subcommand whose surface exposes it.  The
-# test suite audits this table against the package's public functions.
+# Exported operation -> the one subcommand under which it runs.  The test
+# suite audits this table against the package's public functions, and runs
+# each subcommand to see that its operations are called.
 OPERATION_COMMAND = {
-    "blade_product": "product",
     "parse_multivector": "product",
     "format_multivector": "product",
     "parse_blade": "product",
     "format_blade": "product",
-    "reorder_sign": "product",
-    "is_zero_divisor": "invert",
-    "is_invertible": "invert",
+    "reorder_sign": None,
     "inverse": "invert",
     "left_matrix": "info",
     "right_matrix": "info",
@@ -45,17 +44,20 @@ OPERATION_COMMAND = {
     "is_lie_blade": "lie",
     "killing_form": "killing",
     "killing_count": "killing",
-    "killing_entry": "killing",
-    "ad_matrix": "killing",
-    "anticommute_parity": "killing",
+    "killing_entry": "check",
+    "ad_matrix": "check",
+    "anticommute_parity": "check",
     "decompose": "decompose",
     "matrix_algebra_of": "classify",
     "isometry_group_of": "classify",
     "verify_classification": "classify",
     "expected_lie_center_dim": "classify",
-    "is_isometry": "isometry",
     "isometry_evidence": "isometry",
     "run_checks": "check",
+    "blade_product": "check",
+    "is_zero_divisor": "check",
+    "is_invertible": "check",
+    "is_isometry": "check",
     "volume_commutation_report": "check",
     "definiteness_report": "check",
     "equivalence_isomorphism": "check",
@@ -156,7 +158,7 @@ def _cmd_info(args, form):
             elem = obj["element"] = {
                 "input": str(x),
                 "grades": sorted(x.grades()),
-                "self_pairing": f.format(x.pair(x)),
+                "self_pairing": f.format(pairing(x, x)),
                 "left_det": f.format(dl),
                 "right_det": f.format(dr),
                 "zero_divisor": not dl,

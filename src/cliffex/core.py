@@ -491,6 +491,9 @@ class Multivector:
         return self.coeffs[0] == s and not any(m for m, _ in self.terms())
 
     def __hash__(self):
+        # Equal to its scalar when no other blade is present, so hashed as one.
+        if not any(m for m, _ in self.terms()):
+            return hash(self.coeffs[0])
         return hash((self.form, self.coeffs))
 
     # -- involutions -----------------------------------------------------
@@ -575,10 +578,9 @@ def _transform(y: list, maps, p: int) -> list:
 def _split_pair(a: int, b: int, p: int) -> tuple:
     """2 x 2 matrices g, h over F_p with g^2 = a, h^2 = b and gh = -hg: given
     a x^2 + b y^2 = 1, from u = xG + yH = diag(1, -1) and GH = [[0, -ab], [1, 0]].
-    A root r of a gives x = 1/r and y = 0; else x runs up from 0, so y = 1/√b
-    when b is a square, until (1 - a x^2) / b is one."""
-    r = sqrt_mod(a, p)
-    x = pow(r, -1, p) if r else 0
+    x runs up from 0, so y = 1/√b when b is a square, until (1 - a x^2) / b is
+    a square; the conic has a point, so x stops below p."""
+    x = 0
     while (y := sqrt_mod((1 - a * x * x) * pow(b, -1, p), p)) is None:
         x += 1
     g = ((x * a % p, y * a * b % p), (y, -x * a % p))

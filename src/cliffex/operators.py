@@ -79,29 +79,35 @@ def right_matrix(a: Multivector) -> list:
     return _field_matrix(a, False)
 
 
-def _split_eliminate(a: Multivector, invert: bool) -> tuple:
-    """det phi(a) over F_p, and with ``invert`` the coefficients of a^-1 from
-    [phi(a) | I] (None when det is 0): one D x D elimination."""
-    split = a.form.split()
-    rows = split.matrix(a.coeffs)
+def _unit_route(a: Multivector, invert: bool) -> tuple:
+    """det L_a, and with ``invert`` the coefficients of a^-1 (None when a is a
+    zero divisor), from one exact elimination.  Over F_p it eliminates phi(a),
+    with I beside it to invert, and det L_a = det phi(a)^(2^n / D); over Q the
+    integer rows c L_a, with c e_0 beside them, and det L_a = det(c L_a) / c^(2^n).
+    The README derives both."""
+    form, f, p = a.form, a.form.field, a.form.field.p
+    if p:
+        split = form.split()
+        rows, c, power = split.matrix(a.coeffs), 1, 1 << form.n // 2
+        width = len(rows)
+    else:
+        rows, c = _translation_matrix(a, True)
+        power, width = 1, 1
     if invert:
-        rows = [row + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
-    det, ys = linalg._eliminate(rows, len(rows), a.form.field.p)
-    return det, (split.coefficients(ys, det) if invert and det else None)
+        rows = [row + [c * (i == j) for j in range(width)] for i, row in enumerate(rows)]
+    det, ys = linalg._eliminate(rows, len(rows), p)
+    value = f.quotients((pow(det, power, p),), c**form.dim)[0]
+    if not (invert and det):
+        return value, None
+    return value, split.coefficients(ys, det) if p else f.quotients([y[0] for y in ys], det)
 
 
 def translation_determinants(a: Multivector) -> tuple:
     """Exact determinants (left, right) of the two translations by ``a``.
 
-    They are equal (R_a = G^-1 L_a^T G), so one elimination gives both: over
-    Q det(c L_a) / c^dim, over F_p det phi(a)^(2^n / D) (the README derives both).
+    They are equal (R_a = G^-1 L_a^T G), so one elimination gives both.
     """
-    f = a.form.field
-    if f.p:
-        value = f.quotients((pow(_split_eliminate(a, False)[0], 1 << (a.form.n // 2), f.p),), 1)[0]
-    else:
-        rows, scale = _translation_matrix(a, True)
-        value = f.quotients((linalg._eliminate(rows, a.form.dim, None)[0],), scale**a.form.dim)[0]
+    value = _unit_route(a, False)[0]
     return value, value
 
 
@@ -123,23 +129,13 @@ def is_invertible(a: Multivector) -> bool:
 
 
 def inverse(a: Multivector) -> Multivector:
-    """Two-sided inverse of ``a``; raises :class:`NotInvertible` otherwise.
-
-    Over Q solves c L_a y = c e_0 on the integer rows of c L_a; over F_p
-    inverts phi(a).
-    """
+    """Two-sided inverse of ``a``; raises :class:`NotInvertible` otherwise."""
     if a.is_zero():
         raise ZeroElement("the zero element has no inverse")
-    form = a.form
-    if form.field.p:
-        coeffs = _split_eliminate(a, True)[1]
-    else:
-        rows, scale = _translation_matrix(a, True)
-        rows = [row + [0 if i else scale] for i, row in enumerate(rows)]
-        det, ys = linalg._eliminate(rows, form.dim, None)
-        coeffs = ys and form.field.quotients([row[0] for row in ys], det)
+    coeffs = _unit_route(a, True)[1]
     if coeffs is None:
         raise NotInvertible("zero divisor")
+    form = a.form
     inv = form.multivector(coeffs)
     if a * inv != form.one() or inv * a != form.one():
         raise InternalInconsistency("one-sided inverse failed the two-sided check")

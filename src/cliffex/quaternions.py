@@ -127,18 +127,10 @@ class Quaternion:
         o = other if isinstance(other, Quaternion) else self._coerce(other)
         if o is None:
             return NotImplemented
-        (a1, b1, c1, d1), e1 = self._num, self._den
-        (a2, b2, c2, d2), e2 = o._num, o._den
-        if e1 == e2:
-            return _reduced(a1 - a2, b1 - b2, c1 - c2, d1 - d2, e1)
-        return _reduced(a1 * e2 - a2 * e1, b1 * e2 - b2 * e1,
-                        c1 * e2 - c2 * e1, d1 * e2 - d2 * e1, e1 * e2)
+        return self + -o
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return (-self).__add__(other)
 
     def __neg__(self):
         a, b, c, d = self._num
@@ -190,6 +182,9 @@ class Quaternion:
         return self._num == o._num and self._den == o._den
 
     def __hash__(self):
+        # Equal to its real part when b = c = d = 0, so hashed as that number.
+        if not any(self._num[1:]):
+            return hash(self.a)
         return hash(self.components())
 
     def __bool__(self):

@@ -56,8 +56,8 @@ def lie_blades(form: QuadraticForm) -> tuple:
 
 
 def lie_dimension(n: int) -> int:
-    """Closed-form dimension: sum of C(n, k) over k = 1, 2 mod 4."""
-    return sum(comb(n, k) for k in range(n + 1) if k % 4 in (1, 2))
+    """Closed-form dimension: C(n, k) blades of each grade k of a Lie blade."""
+    return sum(comb(n, k) for k in range(n + 1) if is_lie_blade((1 << k) - 1))
 
 
 def lie_algebra_basis(form: QuadraticForm) -> list:
@@ -149,6 +149,11 @@ def center(form: QuadraticForm, method: str = "closed_form") -> CenterDescriptio
     return _center("algebra", form, method, closed, range(form.dim))
 
 
+def _lie_center_blades(form: QuadraticForm) -> list:
+    """The Lie centre's closed form: the top blade iff n = 1 mod 4."""
+    return [form.volume_element()] if form.n % 4 == 1 else []
+
+
 def lie_center(form: QuadraticForm, method: str = "closed_form") -> CenterDescription:
     """Center of the Lie algebra: the top-blade line iff n = 1 mod 4.
 
@@ -158,10 +163,8 @@ def lie_center(form: QuadraticForm, method: str = "closed_form") -> CenterDescri
     generators generate the algebra and the bracket is a derivation in
     each slot.
     """
-    def closed():
-        return [form.volume_element()] if form.n % 4 == 1 else []
-
-    return _center("lie", form, method, closed, filter(is_lie_blade, range(form.dim)))
+    return _center("lie", form, method, lambda: _lie_center_blades(form),
+                   filter(is_lie_blade, range(form.dim)))
 
 
 # -- Killing form --------------------------------------------------------
@@ -185,7 +188,7 @@ def _anticommuting_count(n: int, k: int) -> int:
     return sum(
         comb(k, i) * comb(n - k, j - i)
         for j in range(n + 1)
-        if j % 4 in (1, 2)
+        if is_lie_blade((1 << j) - 1)
         for i in range(min(k, j) + 1)
         if (k * j - i) & 1
     )
@@ -328,7 +331,8 @@ class Decomposition:
 
 
 def decompose(form: QuadraticForm) -> Decomposition:
-    """Split the Lie algebra as center plus the ideal of non-top blades.
+    """Split the Lie algebra as center, the closed form of :func:`lie_center`,
+    plus the ideal of non-top blades.
 
     When n = 1 mod 4 the top blade is central and the ideal has
     codimension one; otherwise the center is zero and the ideal is
@@ -340,15 +344,16 @@ def decompose(form: QuadraticForm) -> Decomposition:
     does in the field: over F_p the second flag is False when p divides m.
     """
     n = form.n
-    central = n % 4 == 1
-    ideal = tuple(m for m in lie_blades(form) if not (central and m == form.full_mask))
-    grades = [k for k in range(1, n + 1) if k % 4 in (1, 2) and not (central and k == n)]
+    central = tuple(_lie_center_blades(form))
+    top = form.full_mask if central else -1
+    ideal = tuple(m for m in lie_blades(form) if m != top)
+    grades = [k for k in range(1, n + 1) if is_lie_blade((1 << k) - 1) and not (central and k == n)]
     f = form.field
     return Decomposition(
-        lie_dim=lie_dimension(n),
-        center_basis=(form.volume_element(),) if central else (),
+        lie_dim=len(ideal) + len(central),
+        center_basis=central,
         ideal_masks=ideal,
-        codim=1 if central else 0,
+        codim=len(central),
         bracket_closed=not (central and any(k * (n - k) & 1 for k in grades)),
         killing_nondegenerate_on_ideal=all(f.element(_anticommuting_count(n, k)) for k in grades),
     )
@@ -454,15 +459,15 @@ def isometry_evidence(g: Multivector) -> IsometryEvidence:
 def _preserves_gram(g: Multivector, left: bool) -> bool:
     """Exact check that M^T G M = G, for M the left (or right)
     translation by ``g`` and G the diagonal Gram matrix of the pairing, on
-    the integer rows c M and d G: sum_i cM[i][a] dG[i] cM[i][b] is c^2 dG[a]
-    when b = a and 0 otherwise.  Column by column, visiting only the
-    nonzeros (see the README's design notes), and the first mismatch returns.
+    the integer rows c M and k G (k from :meth:`FieldSpec.scaled`): sum_i
+    cM[i][a] kG[i] cM[i][b] is c^2 kG[a] when b = a and 0 otherwise.  Column
+    by column, visiting only the nonzeros (see the README's design notes),
+    and the first mismatch returns.
     """
     form = g.form
     p = form.field.p
     rows, c = _translation_matrix(g, left)
-    _, squares = form.square_table()
-    gram = [-s if m.bit_count() & 1 else s for m, s in enumerate(squares)]
+    gram = form.field.scaled(form.gram_diagonal())[0]
     support = g.support()
     for a in range(form.dim):
         acc = {}

@@ -259,10 +259,59 @@ def test_mapped_commands_exist():
         "isometry",
         "check",
     }
-    assert set(OPERATION_COMMAND.values()) <= command_names
+    assert set(OPERATION_COMMAND.values()) - {None} <= command_names
     # The involution command fronts methods on the element type itself,
     # so it is the one subcommand with no module-level function behind it.
     assert command_names - set(OPERATION_COMMAND.values()) == {"involute"}
+
+
+# One run per subcommand, on a form where each route of its table entries runs.
+SPY_RUNS = {
+    "product": ["--form", "sig:2,1", "1 + e1", "e12 - 2*e3"],
+    "involute": ["--form", "sig:2,1", "--kind", "conj", "e12"],
+    "invert": ["--form", "sig:2,1", "2 + e1"],
+    "info": ["--form", "sig:2,1", "--format", "json", "1 + e12"],
+    "center": ["--form", "sig:2,1"],
+    "lie": ["--form", "sig:2,1", "e12"],
+    "killing": ["--form", "sig:2,1"],
+    "decompose": ["--form", "sig:2,1"],
+    "classify": ["--n", "3"],
+    "isometry": ["--form", "sig:2,1", "e12"],
+    "check": ["--form", "sig:3,0"],
+}
+
+
+def _operations_run(argv) -> set:
+    """The names in ``OPERATION_COMMAND`` whose functions run under ``main(argv)``,
+    seen by their code objects, so that every import of a function counts."""
+    codes = {getattr(cliffex, name).__code__: name for name in OPERATION_COMMAND}
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            seen.add(codes[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        assert main(argv) == 0
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_each_operation_runs_under_its_command(capsys, monkeypatch):
+    assert set(SPY_RUNS) == set(build_parser()._subparsers._group_actions[0].choices)
+    run = {command: _operations_run([command, *argv]) for command, argv in SPY_RUNS.items()}
+    # check_killing reads ad_matrix up to the trace cap and killing_entry above it.
+    monkeypatch.setattr(caps, "KILLING_TRACE", 2)
+    run["check"] |= _operations_run(["check", *SPY_RUNS["check"]])
+    capsys.readouterr()
+    assert {name: command for name, command in OPERATION_COMMAND.items()
+            if command and name not in run[command]} == {}
+    # reorder_sign, the documented exception, is reached by no command.
+    assert [name for name, command in OPERATION_COMMAND.items() if command is None] == [
+        "reorder_sign"]
+    assert not any("reorder_sign" in names for names in run.values())
 
 
 @pytest.mark.parametrize("n", [9, 10])

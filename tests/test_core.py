@@ -16,6 +16,7 @@ from cliffex import (
     RATIONAL,
     FieldSpec,
     QuadraticForm,
+    Quaternion,
     anticommute_parity,
     blade_product,
     format_blade,
@@ -655,6 +656,23 @@ def test_zero_rule(field):
             assert hash(x + zero) == hash(x) == hash(zero + x)
             for got in (x - x, x * field.zero, x + zero, -x, x * zero, x.reverse()):
                 assert all(field.owns(c) for c in got.coeffs)
+
+
+@pytest.mark.parametrize("element, number", [
+    (QuadraticForm([1, 1]).scalar(3), 3),
+    (QuadraticForm([1, 1]).scalar(Fraction(-1, 2)), Fraction(-1, 2)),
+    (QuadraticForm([1, 1]).zero(), 0),
+    (QuadraticForm([1, -1], FieldSpec.prime(7)).scalar(3), 3),
+    (QuadraticForm([1, -1], FieldSpec.prime(7)).scalar(-1), 6),
+    (Quaternion(1), 1),
+    (Quaternion(Fraction(1, 2)), Fraction(1, 2)),
+    (Quaternion(), 0),
+], ids=["Q", "Q-fraction", "Q-zero", "F7", "F7-minus-one", "H", "H-fraction", "H-zero"])
+def test_equal_values_hash_alike(element, number):
+    """A scalar-valued element equals its scalar, so it hashes as the scalar
+    and sets and dicts find one by the other."""
+    assert element == number and hash(element) == hash(number)
+    assert number in {element} and element in {number}
 
 
 SLOT_FIELDS = (RATIONAL, FieldSpec.prime(3), FieldSpec.prime(101))

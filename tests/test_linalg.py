@@ -103,7 +103,7 @@ def test_rational_fast_path_handles_fractions():
     assert linalg.determinant(m, RATIONAL) == expected == cofactor_determinant(m, RATIONAL)
 
 
-def test_solve_dense_round_trip():
+def test_square_solve_round_trip():
     rng = random.Random(SEED + 2)
     for field in FIELDS:
         solved = 0
@@ -118,7 +118,7 @@ def test_solve_dense_round_trip():
             solved += 1
 
 
-def test_solve_dense_reports_singular():
+def test_square_solve_reports_singular():
     a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert _solve(a, [Fraction(1), Fraction(1)], RATIONAL) is None
     assert _inverse(a, RATIONAL) is None

@@ -2,12 +2,12 @@
 
 A cap is the largest rank n at which an enumeration, exact solve or dense
 cross-check runs; above it the route raises CapExceeded or the check is
-skipped (blade pairs are sampled).  The closed forms and the centre solve
-run at every rank.  SPLIT_PRODUCT is no cap: it picks an exact product
-route at every rank.  Callers read ``caps.NAME`` when they run, so a test
-can substitute a value with ``monkeypatch``.  Each cap states its measured
-cost at its value and one rank above (2-core machine); raise one only with
-a measurement at the new rank.
+skipped, but the blade-level checks sample their pairs.  The closed forms, the
+centre solve and the Killing dichotomy run at every rank.  SPLIT_PRODUCT is no
+cap: it picks an exact product route at every rank.  Callers read ``caps.NAME``
+when they run, so a test can substitute a value with ``monkeypatch``.  Each cap
+states its measured cost at its value and one rank above (2-core machine);
+raise one only with a measurement at the new rank.
 """
 from .errors import CapExceeded
 
@@ -32,12 +32,10 @@ SPLIT_PRODUCT = 8
 
 # Checks in checks.py that sweep dense objects; costs of the whole check, over
 # Q and F_7 on sig:n,0 and sig:n-n/3,n/3.
-# Every blade pair against the word oracle, 200 sampled above: 12-19 ms at
-# n = 5, 33-70 ms at 6.
+# The one pair sweep of check_blade_products, check_gram's off-diagonal and
+# check_killing_dichotomy, every blade pair and 200 sampled above: the three
+# checks take 5-8 ms at n = 5, 22-35 ms at 6.
 BLADE_PAIRS_EXHAUSTIVE = 5
-# Two dense commutators per pair of Lie blades: 3-6 ms at n = 4, 8-11 ms at 5,
-# 0.07 s at 6, 0.5-0.75 s at 7, about 4 s at 8.
-KILLING_DICHOTOMY_CHECK = 4
 # Dense 2^n x 2^n translation matrices in field elements, in check_invertibility
 # (0.01-0.06 s at n = 6, 0.02-0.17 s at 7) and check_adjoint_matrices
 # (0.05-0.20 s at 6, 0.14-0.71 s at 7).

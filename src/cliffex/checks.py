@@ -119,15 +119,18 @@ def check_field_arithmetic(form: QuadraticForm, rng: Random) -> str:
     return f"char {f.characteristic}, sample 2 prints as {f.format(f.element(2))!r}"
 
 
+def _pairs(form: QuadraticForm, rng: Random, masks) -> list:
+    """Every ordered pair of ``masks`` up to ``caps.BLADE_PAIRS_EXHAUSTIVE``,
+    200 pairs drawn from ``rng`` above it: the blade-level checks' one sweep."""
+    if form.n <= caps.BLADE_PAIRS_EXHAUSTIVE:
+        return [(a, b) for a in masks for b in masks]
+    return [(rng.choice(masks), rng.choice(masks)) for _ in range(200)]
+
+
 @_check()
 def check_blade_products(form: QuadraticForm, rng: Random) -> str:
     """Fast blade product against the word-sorting oracle."""
-    if form.n <= caps.BLADE_PAIRS_EXHAUSTIVE:
-        pairs = [(a, b) for a in range(form.dim) for b in range(form.dim)]
-    else:
-        pairs = [
-            (rng.randrange(form.dim), rng.randrange(form.dim)) for _ in range(200)
-        ]
+    pairs = _pairs(form, rng, range(form.dim))
     for a, b in pairs:
         coef, mask = blade_product(form, a, b)
         ocoef, omask = reference.blade_word_product(
@@ -205,19 +208,17 @@ def check_gram(form: QuadraticForm, rng: Random) -> str:
     """Gram matrix of the pairing from its definition on basis blades: the
     pairing of e_a and e_b is the scalar part of e_a c(e_b) = c(b) e_a e_b.
     On the diagonal that scalar must equal the Gram diagonal on each blade;
-    off the diagonal, on a spot check of 16 blades, it must vanish."""
+    off the diagonal, on the pairs of :func:`_pairs`, it must vanish."""
     gram = form.gram_diagonal()
     for m in range(form.dim):
         coef, mask = form.blade_product(m, m)
         _expect(not mask and (coef if conjugate_sign(m) > 0 else -coef) == gram[m],
                 f"diagonal mismatch at mask {m}")
-    limit = min(form.dim, 16)
-    for a in range(limit):
-        for b in range(limit):
-            if a != b:
-                coef, mask = form.blade_product(a, b)
-                _expect(mask or not (coef if conjugate_sign(b) > 0 else -coef),
-                        f"nonzero off-diagonal at masks {a}, {b}")
+    for a, b in _pairs(form, rng, range(form.dim)):
+        if a != b:
+            coef, mask = form.blade_product(a, b)
+            _expect(mask or not (coef if conjugate_sign(b) > 0 else -coef),
+                    f"nonzero off-diagonal at masks {a}, {b}")
     return "matches pairing on basis blades"
 
 
@@ -333,19 +334,20 @@ def check_killing(form: QuadraticForm, rng: Random) -> str:
     return f"{len(counted)} diagonal entries agree with traces"
 
 
-@_check(cap="KILLING_DICHOTOMY_CHECK")
+@_check()
 def check_killing_dichotomy(form: QuadraticForm, rng: Random) -> str:
-    """(ad x)^2 acts on each blade as 0 or as the scalar 4 x^2."""
-    blades = structure.lie_blades(form)
+    """(ad x)^2 acts on each blade as 0 or as the scalar 4 x^2, on the Lie
+    blade pairs of :func:`_pairs`.  With c = a xor b, e_a e_b = p1 e_c and
+    e_b e_a = p2 e_c, e_a e_c = p3 e_b and e_c e_a = p4 e_b, so the square
+    (ad e_a)^2 e_b is (p1 - p2)(p3 - p4) e_b, read from four blade products."""
     four = form.field.element(4)
-    for a in blades:
-        x = form.basis_blade(a)
-        scale = four * form.blade_square(a)
-        for b in blades:
-            y = form.basis_blade(b)
-            twice = x.commutator(x.commutator(y))
-            _expect(twice == form.zero() or twice == y * scale,
-                    f"unexpected (ad)^2 value at masks {a}, {b}")
+    product = form.blade_product
+    for a, b in _pairs(form, rng, structure.lie_blades(form)):
+        c = a ^ b
+        p1, p2, p3, p4 = (product(x, y).coef for x, y in ((a, b), (b, a), (a, c), (c, a)))
+        twice = (p1 - p2) * (p3 - p4)
+        _expect(not twice or twice == four * form.blade_square(a),
+                f"unexpected (ad)^2 value at masks {a}, {b}")
     return "squared adjoint is 0 or 4 x^2 on each blade"
 
 

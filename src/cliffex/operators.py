@@ -34,24 +34,22 @@ from .errors import (
 def _translation_matrix(a: Multivector, left: bool) -> tuple:
     """Integer rows of c T and the scale c, for T the matrix of y -> a * y
     when ``left``, else of y -> y * a (columns index the input); over F_p
-    the cells are residues and c = 1.  The README's design notes derive
-    the cells and signs.
+    c = 1 and the cells are ints left unreduced, which every caller reduces.
+    The README's design notes derive the cells and signs.
     """
     form = a.form
     dim = form.dim
-    p = form.field.p
     d, squares = form.square_table()
     masks = a.support()
     ints, d_a = form.field.scaled([a.coeffs[m] for m in masks])
-    scale, neg = d_a * d, p or 0
     rows = [[0] * dim for _ in range(dim)]
     for mi, ci in zip(masks, ints):
         w = sign_mask(mi, left)
-        cell = [ci * s % p for s in squares] if p else [ci * s for s in squares]
+        cell = [ci * s for s in squares]
         for mj in range(dim):
             v = cell[mi & mj]
-            rows[mi ^ mj][mj] = neg - v if (mj & w).bit_count() & 1 else v
-    return rows, scale
+            rows[mi ^ mj][mj] = -v if (mj & w).bit_count() & 1 else v
+    return rows, d_a * d
 
 
 def _field_matrix(a: Multivector, left: bool) -> list:

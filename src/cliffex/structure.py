@@ -108,17 +108,17 @@ def _centralizer_kernel(form: QuadraticForm, masks: Iterable[int]) -> list:
     The system is diagonal: [e_g, x] = sum_m x_m [e_g, e_m], and [e_g, e_m]
     = (c / d) e_(g xor m) with m -> g xor m injective, so x_m meets each g
     in an equation c x_m = 0 of its own.  e_m is in the kernel when c, from
-    the generator's :func:`_brackets`, built once per call, vanishes in the
-    field for every g; the loop stops at the first g where it does not.
+    the generator's :func:`_brackets`, built once per call, is 0 for every
+    g; the loop stops at the first g where it is not.  c is 0 or ±2s for s a
+    nonzero square-table entry, so over F_p (p odd) c is 0 in the field
+    exactly when it is the int 0.
     """
-    p = form.field.p
     _, squares = form.square_table()
     brackets = [_brackets(squares, 1 << k) for k in range(form.n)]
     kernel = []
     for m in masks:
         for bracket in brackets:
-            c = bracket(m)
-            if c % p if p else c:
+            if bracket(m):
                 break
         else:
             kernel.append(form.basis_blade(m))
@@ -293,7 +293,6 @@ def ad_matrix(xi: Multivector, basis: Optional[Sequence[Multivector]] = None) ->
         masks = [s[0] for s in map(Multivector.support, basis) if len(s) == 1]
         if len(set(masks)) < len(basis) or any(b.coeffs[m] != f.one for b, m in zip(basis, masks)):
             raise NotInvariantSubspace("ad_matrix needs a basis of unit blades")
-    p = f.p
     d, squares = form.square_table()
     unit = f.quotients((1,), d)[0]
     pos = {m: i for i, m in enumerate(masks)}
@@ -302,8 +301,7 @@ def ad_matrix(xi: Multivector, basis: Optional[Sequence[Multivector]] = None) ->
     for a, x_a in xi.terms():
         bracket, scale = _brackets(squares, a), x_a * unit
         for col, b in enumerate(masks):
-            c = bracket(b)
-            if c % p if p else c:
+            if c := bracket(b):
                 r = pos.get(a ^ b)
                 if r is None:
                     leaving.append((col, a ^ b))

@@ -94,6 +94,10 @@ MUTANTS = (
     Mutant("hash ignores the scalar rule", "core.py",
            "return hash(self.coeffs[0])", "return hash((self.form, self.coeffs))",
            ("tests/test_core.py::test_equal_values_hash_alike",)),
+    Mutant("blade product scaled by the squares of the union", "core.py",
+           "coef = self.square_factor(a & b)", "coef = self.square_factor(a | b)",
+           ("tests/test_checks.py::"
+            "test_killing_dichotomy_reads_blade_products_below_and_above_the_pair_cap",)),
 )
 
 

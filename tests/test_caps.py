@@ -114,7 +114,6 @@ def test_a_lowered_cap_takes_effect_when_the_route_runs(monkeypatch):
 
 # Each capped check's name and the table entry that skips it above its value.
 SKIPPED_BY = {
-    "killing_dichotomy": "KILLING_DICHOTOMY_CHECK",
     "invertibility": "TRANSLATION_MATRICES",
     "adjoint_matrices": "TRANSLATION_MATRICES",
     "equivalence": "MULTIPLICATIVITY",
@@ -131,7 +130,8 @@ def test_checks_pass_above_every_cap(text, field):
     """Every check passes, and exactly the checks whose cap is below the rank
     skip, naming the cap; ranks 15 and 16 are above every entry of
     SKIPPED_BY, and the centre and classification checks run at both.  The
-    Killing check samples above its cap instead of skipping."""
+    Killing check samples above its cap instead of skipping, and the Killing
+    dichotomy has no cap."""
     form = QuadraticForm.from_text(text, FieldSpec.from_text(field))
     results = run_checks(form, seed=0)
     assert all(r.passed for r in results), [r for r in results if not r.passed]

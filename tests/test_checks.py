@@ -1,6 +1,7 @@
 """The self-check battery: every check passes on every supported form."""
 import dataclasses
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -11,6 +12,7 @@ from cliffex.checks import (
     check_decomposition,
     check_gram,
     check_killing,
+    check_killing_dichotomy,
     check_volume,
     volume_commutation_report,
 )
@@ -137,13 +139,13 @@ def test_gram_check_catches_one_altered_entry(monkeypatch):
 
 
 def test_gram_check_catches_one_product_landing_on_the_scalar(monkeypatch):
-    """The off-diagonal spot check reads e_a c(e_b) from the blade products:
-    a product of two distinct blades reported on mask 0 is a nonzero
-    off-diagonal pairing, whichever of the 16 x 16 spot pairs it is."""
+    """The off-diagonal check reads e_a c(e_b) from the blade products: a
+    product of two distinct blades reported on mask 0 is a nonzero
+    off-diagonal pairing, whichever pair of the exhaustive sweep it is."""
     product = QuadraticForm.blade_product
     for form in (QuadraticForm([2, -3, 5, 1, -1], RATIONAL), QuadraticForm([3, -1, 1], FieldSpec.prime(7))):
-        limit = min(form.dim, 16)
-        for a, b in ((1, 2), (limit - 1, 0), (3, limit - 2)):
+        assert form.n <= caps.BLADE_PAIRS_EXHAUSTIVE
+        for a, b in ((1, 2), (form.dim - 1, 0), (3, form.dim - 2)):
             def scalar(self, x, y, a=a, b=b):
                 coef, out = product(self, x, y)
                 return BladeProduct(coef, 0 if (x, y) == (a, b) else out)
@@ -222,6 +224,28 @@ def test_killing_check_runs_the_trace_route_up_to_the_oracle_cap(monkeypatch):
     # Doubling every bracket of the trace sum quadruples the traces: the routes disagree.
     monkeypatch.setattr(structure, "_brackets", _brackets_times(lambda b: 2))
     assert not check_killing(QuadraticForm([1, 1, -1], RATIONAL)).passed
+
+
+def test_killing_dichotomy_reads_blade_products_below_and_above_the_pair_cap(monkeypatch):
+    """The dichotomy check runs at every rank, on every Lie blade pair at
+    rank 4 and on 200 sampled pairs at rank 16.  Doubling the products whose
+    left blade has grade 2 and shares one index with the right one makes
+    (ad e_a)^2 e_b neither 0 nor 4 e_a^2 on some pair, and both runs see it."""
+    forms = (QuadraticForm.from_text("sig:3,1"), QuadraticForm.from_text("sig:16,0", FieldSpec.prime(7)))
+    assert forms[0].n <= caps.BLADE_PAIRS_EXHAUSTIVE < forms[1].n
+    for form in forms:
+        assert check_killing_dichotomy(form, Random(0)) == CheckResult(
+            "killing_dichotomy", True, "squared adjoint is 0 or 4 x^2 on each blade")
+    product = QuadraticForm.blade_product
+
+    def doubled(self, a, b):
+        coef, out = product(self, a, b)
+        return BladeProduct(2 * coef if a.bit_count() == 2 and (a & b).bit_count() == 1 else coef, out)
+
+    monkeypatch.setattr(QuadraticForm, "blade_product", doubled)
+    for form in forms:
+        result = check_killing_dichotomy(form, Random(0))
+        assert not result.passed and result.detail.startswith("unexpected (ad)^2 value at masks")
 
 
 @pytest.mark.parametrize("text", ["sig:3,1", "diag:1/2,-1,3,-2/3,5"])

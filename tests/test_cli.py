@@ -331,9 +331,9 @@ def test_check_at_rank_sixteen_samples_the_killing_trace(capsys):
     assert code == 0 and lines[-1] == "all checks passed"
     assert ("PASS killing (2 sampled diagonal entries agree with traces; "
             f"KILLING_TRACE capped at n = {caps.KILLING_TRACE})") in lines
+    assert "PASS killing_dichotomy (squared adjoint is 0 or 4 x^2 on each blade)" in lines
     skipped = {line.split()[1] for line in lines if line.startswith("SKIP ")}
-    assert skipped == {"killing_dichotomy", "invertibility", "adjoint_matrices",
-                       "equivalence", "uniqueness"}
+    assert skipped == {"invertibility", "adjoint_matrices", "equivalence", "uniqueness"}
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, monkeypatch):

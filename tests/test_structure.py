@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from cliffex import (
     FieldSpec,
@@ -235,17 +235,17 @@ def test_centralizer_kernel_is_the_kernel_of_the_literal_system(form):
         assert structure._centralizer_kernel(form, masks) == _literal_centralizer_kernel(form, masks)
 
 
-@pytest.mark.parametrize("field, zero", [(None, 0), (F7, 7)], ids=["Q", "F7"])
-def test_centre_solve_reads_the_commutator_coefficient_in_the_field(monkeypatch, field, zero):
-    """With the square-table entry of the empty mask read as ``zero``, which
-    is 0 in the field, e_m e_g = e_g e_m for every g outside m: the odd
+@pytest.mark.parametrize("field", [None, F7], ids=["Q", "F7"])
+def test_centre_solve_reads_the_commutator_coefficient_in_the_field(monkeypatch, field):
+    """With the square-table entry of the empty mask read as 0, which is an
+    int and a residue, e_m e_g = e_g e_m for every g outside m: the odd
     blades look central, the solved centre grows and check_centers fails."""
     form = QuadraticForm([1, -1, 2, 3], field)
     square_table = QuadraticForm.square_table
 
     def broken(self):
         d, squares = square_table(self)
-        return d, (zero, *squares[1:])
+        return d, (0, *squares[1:])
 
     monkeypatch.setattr(QuadraticForm, "square_table", broken)
     assert center(form, method="solve").dimension > center(form).dimension
@@ -431,11 +431,13 @@ def test_killing_trace_oracle_agrees_with_count():
 
 @pytest.mark.parametrize("n", range(1, caps.KILLING_TRACE + 1))
 @pytest.mark.parametrize("p", [None, 3, 7, 101], ids=["Q", "F3", "F7", "F101"])
-@settings(deadline=None, derandomize=True, max_examples=3)
+@settings(deadline=None, derandomize=True, max_examples=3, phases=[Phase.explicit, Phase.generate])
 @given(data=st.data())
 def test_killing_trace_sum_is_the_count_on_every_blade(n, p, data):
     """Over fractional Q diagonals, F_3 (where whole grades of entries
-    vanish), F_7 and F_101, at every rank the trace route runs."""
+    vanish), F_7 and F_101, at every rank the trace route runs.  No shrink
+    phase: a broken trace fails on nearly every draw, and shrinking a
+    rational diagonal at rank 10 took minutes before the failure showed."""
     if p is None:
         entry = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
     else:

@@ -23,8 +23,8 @@ ISOMETRY_GRAM = 8
 # equivalence_isomorphism's check on all 4^n blade pairs, and check_equivalence:
 # 0.06-0.12 s and 0.13-0.30 s at n = 6, 0.33-0.54 s and 0.67-1.25 s at 7.
 MULTIPLICATIVITY = 6
-# Pairing axioms, 2n·4^n equations in 4^n / 2 unknowns, solved twice (with and
-# without parity invariance): 3-4 ms at n = 3, 54-76 ms at 4.
+# Pairing axioms, one row per orbit of each law (91 on sig:2,1) in 4^n / 2 unknowns,
+# solved with and without parity invariance: 1.7-1.8 ms at n = 3, 18-20 ms at 4.
 UNIQUENESS_SOLVE = 3
 # F_p products of |supp x| |supp y| >= SPLIT_PRODUCT 2^n go to the split route.
 # Over F_101 it broke even at 4 pairs per blade for even n, 8 for odd n (4..10).
@@ -49,6 +49,8 @@ def over(name: str, n: int) -> str:
 
 
 def require(name: str, n: int) -> None:
-    """Raise :class:`CapExceeded` when rank n is above the cap ``name``."""
+    """Raise :class:`CapExceeded` when rank n is not an int or is above the cap ``name``."""
+    if not isinstance(n, int):
+        raise CapExceeded(f"rank must be an int, got {n!r}")
     if message := over(name, n):
         raise CapExceeded(message)

@@ -79,8 +79,8 @@ class IsometryGroup:
 
 def matrix_algebra_of(n: int) -> MatrixAlgebra:
     """Table entry for the rank-n positive definite algebra."""
-    if n < 1:
-        raise CapExceeded(f"rank must be at least 1, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise CapExceeded(f"rank must be an int of at least 1, got {n!r}")
     base, offset, double = _ALGEBRA_TABLE[n % 8]
     return MatrixAlgebra(base, 1 << (4 * (n // 8) + offset), double)
 

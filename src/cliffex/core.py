@@ -38,6 +38,7 @@ from .errors import (
     DegenerateForm,
     IndexOutOfRange,
     MismatchedForm,
+    MixedFieldSpec,
     ParseError,
 )
 from .field import NUMBERS, RATIONAL, FieldElement, FieldSpec, sqrt_mod
@@ -126,8 +127,9 @@ class QuadraticForm:
     __slots__ = ("n", "diag", "field", "_sqf_cache", "_gram", "_squares", "_split")
 
     def __init__(self, diag: Sequence, field: Optional[FieldSpec] = None):
-        if field is None:
-            field = RATIONAL
+        field = RATIONAL if field is None else field
+        if not isinstance(field, FieldSpec):
+            raise MixedFieldSpec(f"a form's field must be a FieldSpec, got {field!r}")
         entries = tuple(field.element(v) for v in diag)
         if not 1 <= len(entries) <= caps.GENERATORS:
             raise CapExceeded(

@@ -16,7 +16,7 @@ from . import caps, linalg
 from .core import (
     Multivector,
     QuadraticForm,
-    involute_sign,
+    anticommute_parity,
     reorder_parity,
     sign_mask,
 )
@@ -285,14 +285,18 @@ def pairing_uniqueness_report(
     (symmetry built in).  Equations: B(1, 1) = 1; B restricted to grade one
     equals the quadratic form; and both adjointness laws
     B(x y, z) = B(y, c(x) z) and B(y x, z) = B(y, z c(x)) for every
-    generator x = e_g (c(e_g) = -e_g) and all basis blades y, z: 2n 4^n
-    rows.  The elements x that satisfy a law for all y and z form a
+    generator x = e_g (c(e_g) = -e_g) and all basis blades y = e_b, z = e_c.
+    The elements x that satisfy a law for all y and z form a
     subalgebra, because c reverses products:
     B(x1 x2 y, z) = B(x2 y, c(x1) z) = B(y, c(x2) c(x1) z) = B(y, c(x1 x2) z),
     and likewise on the right.  The generators span V, which generates the
     algebra, so these rows have the solutions of the laws on all basis
-    triples.  The report records whether the system has exactly one
-    solution and whether it is the canonical pairing.
+    triples.  The rows of (b, c), (c, b), (g^c, g^b) and (g^b, g^c) are
+    multiples of one row, as coef(g, x) coef(g, g^x) = d squares[g], so one
+    per orbit is written; the right-law row is ± the left-law row unless e_g
+    commutes with just one of e_b and e_c, and only then is it written.  The
+    report records whether the system has exactly one solution and whether
+    it is the canonical pairing.
 
     That axiom list does not always force uniqueness.  When n = 3 mod 4
     the volume blade omega is central and conjugation fixes it, so
@@ -336,7 +340,7 @@ def pairing_uniqueness_report(
             equation((unknown(a, b), 1))
             for a in range(dim)
             for b in range(a, dim)
-            if involute_sign(a) * involute_sign(b) < 0
+            if (a ^ b).bit_count() & 1
         ]
 
     # e_a e_b = (coef(a, b) / d) e_(a ^ b), as ints from the square table.
@@ -347,11 +351,14 @@ def pairing_uniqueness_report(
 
     for g in (1 << k for k in range(form.n)):
         for b in range(dim):
-            for c in range(dim):
+            for c in range(b, dim):
+                if (b, c) > (min(g ^ b, g ^ c), max(g ^ b, g ^ c)):  # not the orbit's least
+                    continue
                 # B(e_g e_b, e_c) = -B(e_b, e_g e_c) and B(e_b e_g, e_c) = -B(e_b, e_c e_g).
                 u, v = unknown(g ^ b, c), unknown(b, g ^ c)
                 rows.append(equation((u, coef(g, b)), (v, coef(g, c))))
-                rows.append(equation((u, coef(b, g)), (v, coef(c, g))))
+                if anticommute_parity(g, b) != anticommute_parity(g, c):
+                    rows.append(equation((u, coef(b, g)), (v, coef(c, g))))
 
     solution, nullity, consistent, kernel_vecs = linalg.affine_space(rows, unknowns, f)
     rank = unknowns - nullity

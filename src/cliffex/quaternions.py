@@ -412,7 +412,7 @@ def basis_change(a: HMatrix, basis: Sequence) -> HMatrix:
 
 # -- bridge to the rank-2 algebra ----------------------------------------
 
-_BRIDGE_DIAG = (1, 1)
+BRIDGE_FORM = QuadraticForm((1, 1))
 
 
 def to_quaternion(x: Multivector) -> Quaternion:
@@ -421,11 +421,11 @@ def to_quaternion(x: Multivector) -> Quaternion:
     Sends 1, e1, e2, e12 to 1, i, j, k.  Multiplicative, and intertwines
     the composite involution with quaternion conjugation.
     """
-    if x.form != QuadraticForm(_BRIDGE_DIAG):
+    if x.form != BRIDGE_FORM:
         raise WrongForm("the quaternion bridge needs the rank-2 rational form with unit diagonal")
     return Quaternion(*x.coeffs)
 
 
 def from_quaternion(q: Quaternion) -> Multivector:
     """Inverse of :func:`to_quaternion`."""
-    return QuadraticForm(_BRIDGE_DIAG).multivector(q.components())
+    return BRIDGE_FORM.multivector(q.components())

@@ -20,7 +20,10 @@ Q and F_101, ``+``, a scalar multiple, ``commutator`` and
 of e1 and e2; last, over Q, the trace route of ``killing_form`` at n = 8
 and 10, ``check_killing`` (its sampled trace entries) at n = 16 and
 ``ad_matrix`` of a 6-term Lie element at n = 8 on the fractional diagonal,
-and ``center(method="solve")`` at n = 10 and 14 over Q and F_7.  Every
+``center(method="solve")`` at n = 10 and 14 over Q and F_7, and the pair
+of ``pairing_uniqueness_report`` calls that ``check_uniqueness`` makes
+(without and with parity invariance) at n = 3 and 4 on sig:n,0 over Q and
+F_7, the n = 4 row with ``caps.UNIQUENESS_SOLVE`` lifted for its own call.  Every
 dense F_101 product row runs on the split matrix route
 (``core.SplitAlgebra``), and every Q row on the tuple kernel: the Q
 targets wait for the route's Q half.  Times include the boxing of
@@ -38,7 +41,7 @@ from fractions import Fraction
 from random import Random
 from statistics import median
 
-from cliffex import checks, core, operators, structure
+from cliffex import caps, checks, core, operators, structure
 from cliffex.core import QuadraticForm
 from cliffex.field import FieldSpec
 from cliffex.reference import random_multivector, random_nonzero_element
@@ -109,7 +112,8 @@ def sparse_cases():
 
 def structure_cases():
     """(name, form text, field, operation) of the structure rows: the
-    Killing trace on sig:n,0 over Q, ``ad_matrix`` and the centre solve."""
+    Killing trace on sig:n,0 over Q, ``ad_matrix``, the centre solve and
+    the uniqueness pair."""
     for n in (8, 10):
         form = QuadraticForm.from_text(f"sig:{n},0", Q)
         yield "killing_form trace", f"sig:{n},0", Q, lambda f=form: structure.killing_form(f, "trace")
@@ -124,6 +128,21 @@ def structure_cases():
         for field in (Q, F7):
             form = QuadraticForm.from_text(signature(n), field)
             yield "center solve", signature(n), field, lambda f=form: structure.center(f, method="solve")
+    for n in (3, 4):
+        for field in (Q, F7):
+            form = QuadraticForm.from_text(f"sig:{n},0", field)
+            yield "uniqueness pair", f"sig:{n},0", field, lambda f=form: uniqueness_pair(f)
+
+
+def uniqueness_pair(form):
+    """Both reports of ``check_uniqueness``, with the cap lifted to the rank
+    for this call only."""
+    cap = caps.UNIQUENESS_SOLVE
+    caps.UNIQUENESS_SOLVE = max(cap, form.n)
+    try:
+        return [operators.pairing_uniqueness_report(form, parity) for parity in (False, True)]
+    finally:
+        caps.UNIQUENESS_SOLVE = cap
 
 
 def operands(form):

@@ -98,6 +98,15 @@ MUTANTS = (
            "coef = self.square_factor(a & b)", "coef = self.square_factor(a | b)",
            ("tests/test_checks.py::"
             "test_killing_dichotomy_reads_blade_products_below_and_above_the_pair_cap",)),
+    Mutant("right-law row never written", "operators.py",
+           "rows.append(equation((u, coef(b, g)), (v, coef(c, g))))", "pass",
+           ("tests/test_operators.py::test_generator_laws_at_rank_four[Q]",)),
+    Mutant("orbit test drops the representative", "operators.py",
+           "(b, c) > (min(g ^ b", "(b, c) >= (min(g ^ b",
+           ("tests/test_uniqueness_digests.py::test_uniqueness_reports_match_the_recorded_digests",)),
+    Mutant("Killing check reads one blade below the cap", "checks.py",
+           "if capped else masks:", "if capped else masks[:1]:",
+           ("tests/test_checks.py::test_below_the_cap_the_killing_check_compares_every_blade",)),
 )
 
 

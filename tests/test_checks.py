@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from cliffex import QuadraticForm, caps, checks, run_checks, structure
+from cliffex import QuadraticForm, caps, checks, linalg, operators, reference, run_checks, structure
 from cliffex.checks import (
     CheckResult,
     check_centers,
@@ -19,6 +19,7 @@ from cliffex.checks import (
 from cliffex.core import BladeProduct, format_blade
 from cliffex.errors import InternalInconsistency, OddDimension
 from cliffex.field import RATIONAL, FieldSpec
+from test_reference import _Reached, _reached
 
 EXPECTED_NAMES = [
     "field_arithmetic",
@@ -325,3 +326,72 @@ def test_the_sampled_killing_check_catches_a_fault_in_either_route(monkeypatch, 
         monkeypatch.setattr(structure, name, fault)
         assert check_killing(form) == CheckResult("killing", False, detail)
         monkeypatch.undo()
+
+
+def test_below_the_cap_the_killing_check_compares_every_blade(monkeypatch):
+    """Below the cap every Lie blade is compared, not only the two the sampled
+    check reads above it: a count one too high at grade 2 is seen at e12."""
+    form = QuadraticForm.from_text("sig:4,0")
+    monkeypatch.setattr(structure, "_anticommuting_count", _off_by_one_at(2))
+    assert check_killing(form) == CheckResult("killing", False, "routes disagree at blade e12")
+
+
+# -- the second routes of checks.py stay independent -----------------------
+
+
+def _killing_traces(form, rng):
+    masks = structure.lie_blades(form)
+    return [structure._killing_trace(form, m, masks) for m in masks]
+
+
+def _solved_centers(form, rng):
+    return structure.center(form, method="solve"), structure.lie_center(form, method="solve")
+
+
+def _right_determinants(form, rng):
+    xs = [reference.random_multivector(rng, form, checks._sparse_terms(form)) for _ in range(3)]
+    return [linalg.determinant(operators.right_matrix(x), form.field) for x in xs]
+
+
+# Each second route, as its check calls it, and the code it cross-checks.
+SECOND_ROUTES = {
+    "check_killing": (_killing_traces, ((structure, "_anticommuting_count"),
+                                        (structure, "killing_count"))),
+    "check_centers": (_solved_centers, ((structure, "_lie_center_blades"),)),
+    "check_invertibility": (_right_determinants, ((operators, "_unit_route"),
+                                                  (QuadraticForm, "split"))),
+}
+# Code a second route still shares with the route it checks, by field, and why.
+SHARED = {
+    ("check_invertibility", "rational"): (
+        ((operators, "_translation_matrix"), (linalg, "_forward")),
+        "over Q det R_x reads the integer translation rows the unit route eliminates, "
+        "with the same engine; a matrix-free determinant oracle would part them"),
+    ("check_invertibility", "fp:7"): (
+        ((linalg, "_forward"),),
+        "det R_x and det phi(x) are eliminated by the one engine; its own tests and the "
+        "cofactor oracle check it"),
+}
+AUDIT_FORMS = ["sig:3,1", "diag:1/2,-3,2/5", "sig:5,1"]
+
+
+@pytest.mark.parametrize("text", AUDIT_FORMS)
+@pytest.mark.parametrize("field", [None, FieldSpec.prime(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("check", sorted(SECOND_ROUTES))
+def test_each_second_route_runs_without_the_code_it_checks(monkeypatch, check, field, text):
+    """The route returns what it returns unpatched with the code it
+    cross-checks patched to raise, and reaches only the shared code on
+    ``SHARED``, each entry of which it does reach."""
+    form = QuadraticForm.from_text(text, field)
+    route, checked = SECOND_ROUTES[check]
+    want = route(form, Random(3))
+    with monkeypatch.context() as m:
+        for owner, name in checked:
+            m.setattr(owner, name, _reached)
+        assert route(form, Random(3)) == want
+    shared, _ = SHARED.get((check, form.field.to_text()), ((), ""))
+    for owner, name in shared:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, _reached)
+            with pytest.raises(_Reached):
+                route(form, Random(3))

@@ -2,13 +2,15 @@
 import pytest
 
 from cliffex import (
+    QuadraticForm,
+    classify,
     expected_lie_center_dim,
     isometry_group_of,
     matrix_algebra_of,
     verify_classification,
 )
 from cliffex.classify import CheckPair
-from cliffex.errors import CapExceeded
+from cliffex.errors import CapExceeded, MixedFieldSpec
 from cliffex.structure import lie_dimension
 
 # Frozen expectations for the first ten ranks.
@@ -111,3 +113,19 @@ def test_rank_bounds_are_enforced():
     # The tables themselves answer at every rank, verified or not.
     assert matrix_algebra_of(11).describe() == "M(16,H)+M(16,H)"
     assert isometry_group_of(11).describe() == "Sp(16)xSp(16)"
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: QuadraticForm([1, 1], "fp:7"), MixedFieldSpec),
+    (lambda: matrix_algebra_of(1.5), CapExceeded),
+    (lambda: isometry_group_of(1.5), CapExceeded),
+    (lambda: verify_classification("3"), CapExceeded),
+], ids=["form-field-text", "algebra-float", "group-float", "verify-text"])
+def test_wrong_type_inputs_raise_the_documented_error(monkeypatch, call, error):
+    """A field that is not a FieldSpec, or a rank that is not an int, is
+    refused with a CliffexError, and before a form of that rank is built."""
+    monkeypatch.setattr(classify, "QuadraticForm", lambda *a: pytest.fail("form built"))
+    with pytest.raises(error):
+        call()
+    # A bool is the int it is.
+    assert matrix_algebra_of(True) == matrix_algebra_of(1)

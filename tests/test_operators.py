@@ -508,6 +508,23 @@ def test_generator_laws_at_rank_four(monkeypatch, field):
         assert rep == _literal_report(form, parity)
 
 
+@pytest.mark.parametrize("text, count", [("sig:2,1", 91), ("sig:1,1", 20)])
+def test_each_law_row_is_written_once_per_orbit(text, count):
+    """The solve is handed one left-law row per orbit of (b, c) under swapping
+    and under multiplying both by e_g, and a right-law row only where it is
+    not ± the left one: 91 rows on sig:2,1, not the 391 of both laws on
+    every pair, and 20 on sig:1,1, not 68."""
+    solve, handed = linalg.affine_space, []
+
+    def counted(rows, ncols, field):
+        handed.append(len(rows))
+        return solve(rows, ncols, field)
+
+    with mock.patch.object(linalg, "affine_space", counted):
+        pairing_uniqueness_report(QuadraticForm.from_text(text))
+    assert handed == [count]
+
+
 def test_uniqueness_solver_cap(monkeypatch):
     with pytest.raises(CapExceeded, match="UNIQUENESS_SOLVE capped at n = 3"):
         pairing_uniqueness_report(QuadraticForm([1, 1, 1, 1]))

@@ -14,7 +14,7 @@ from pathlib import Path
 import cliffex
 
 SRC = Path(cliffex.__file__).parent
-CEILING = 4443  # physical lines of src/cliffex/*.py
+CEILING = 4438  # physical lines of src/cliffex/*.py
 
 _STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 _LAYOUT = _STATEMENT_START | {tokenize.ENDMARKER}
